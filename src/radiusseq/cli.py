@@ -62,29 +62,32 @@ def _cmd_verify(args) -> int:
 
 
 def _construct(args):
-    """Returns (sequence, p, tiling_report) for the requested strategy."""
+    """Returns (sequence, p, tiling_report, cover_plan) for the requested
+    strategy; entries a strategy does not produce are None."""
     n, k = args.n, args.k
     if args.strategy == "naive":
-        return sequences.naive_sequence(n, k), None, None
+        return sequences.naive_sequence(n, k), None, None, None
     if args.strategy == "eulerian":
         if k != 1:
             raise _UsageError("strategy 'eulerian' requires k=1")
-        return sequences.one_radius_optimal(n), None, None
+        return sequences.one_radius_optimal(n), None, None, None
     if args.strategy == "two-radius":
         if k != 2:
             raise _UsageError("strategy 'two-radius' requires k=2")
         p = max(n, 5)
         while p % 2 == 0 or not numtheory.is_prime(p):
             p += 1
-        return covers.sequence_from_cover(covers.two_radius_cover(p)), p, None
+        plan = covers.two_radius_cover(p)
+        return covers.sequence_from_cover(plan), p, None, plan
     if args.strategy == "prime":
         p = kradius.next_k_radius_prime(n, k, horizon=args.horizon)
         if p is None:
-            return None, None, None
-        return covers.sequence_from_cover(covers.prime_cover(p, k)), p, None
+            return None, None, None, None
+        plan = covers.prime_cover(p, k)
+        return covers.sequence_from_cover(plan), p, None, plan
     if args.strategy == "tiling":
         seq, report = tilings.tiling_sequence(n, k)
-        return seq, report.p, report
+        return seq, report.p, report, None
     raise _UsageError(f"unknown strategy {args.strategy!r}")
 
 
@@ -93,7 +96,7 @@ class _UsageError(Exception):
 
 
 def _cmd_construct(args) -> int:
-    seq, p, report = _construct(args)
+    seq, p, report, plan = _construct(args)
     if seq is None:
         print(f"no {args.k}-radius prime found at or above {args.n}", file=sys.stderr)
         return 1
@@ -103,12 +106,7 @@ def _cmd_construct(args) -> int:
     if not ok:
         print("constructed sequence failed verification", file=sys.stderr)
         return 1
-    if args.cover_out and args.strategy in ("two-radius", "prime"):
-        plan = (
-            covers.two_radius_cover(p)
-            if args.strategy == "two-radius"
-            else covers.prime_cover(p, args.k)
-        )
+    if args.cover_out and plan is not None:
         _write_text(args.cover_out, covers.format_cover(plan))
     if args.format == "json":
         obj = {

@@ -186,6 +186,9 @@ def parse_cover(text: str) -> CoverPlan:
             continue
         if header is None:
             parts = dict(tok.split("=", 1) for tok in line.split())
+            for field in ("p", "k"):
+                if field not in parts:
+                    raise ValueError(f"cover header {line!r} has no '{field}=' field")
             header = (int(parts["p"]), int(parts["k"]))
         else:
             multipliers.append(int(line))

@@ -567,6 +567,9 @@ def parse_logfn(text: str) -> LogFn:
             k = int(line.split("=", 1)[1])
         else:
             parts = dict(tok.split("=", 1) for tok in line.split())
+            for field in ("q", "f"):
+                if field not in parts:
+                    raise ValueError(f"logarithm line {line!r} has no '{field}=' field")
             pv[int(parts["q"])] = int(parts["f"])
     if k is None:
         raise ValueError("missing 'k=<int>' line")

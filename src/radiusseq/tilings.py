@@ -215,12 +215,14 @@ def tiling_sequence(
 ) -> tuple[RadiusSequence, TilingReport]:
     """Full pipeline: admissible prime, subgroup cover, coset assembly.
 
-    Returns a verified p-ary k-radius sequence (p the chosen prime >= n)
-    together with measurements; the ratio compares the length against
-    C(n,2)/k. When no logarithm is supplied, the first `candidates`
-    search representatives are compared by measured translate count (then
-    cover size) and the best one is used; the count depends only on the
-    tiling lattice, so scalar-equivalent logarithms measure alike.
+    Returns a p-ary k-radius sequence (p the chosen prime >= n) together
+    with measurements; the ratio compares the length against C(n,2)/k.
+    The sequence is not verified here: the CLI `construct` path runs
+    `sequences.verify` on it. When no logarithm is supplied, the first
+    `candidates` search representatives are compared by measured
+    translate count (then cover size) and the best one is used; the count
+    depends only on the tiling lattice, so scalar-equivalent logarithms
+    measure alike.
     """
     if n < 2:
         raise ValueError("n must be >= 2")

@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from radiusseq import cli
+from radiusseq import covers as cv
 from radiusseq import sequences as sq
 
 
@@ -85,9 +86,25 @@ class TestConstruct:
         assert code == 0
         seq = sq.parse_sequence(seq_file.read_text())
         assert sq.verify(seq)[0]
-        from radiusseq import covers as cv
         plan = cv.parse_cover(cover_file.read_text())
         assert plan.p == 7 and plan.k == 3
+
+    @pytest.mark.parametrize(
+        "n,k,strategy,plan",
+        [
+            (7, 3, "prime", lambda: cv.prime_cover(7, 3)),
+            (11, 2, "two-radius", lambda: cv.two_radius_cover(11)),
+        ],
+    )
+    def test_cover_out_reuses_plan(self, tmp_path, capsys, n, k, strategy, plan):
+        args = ("construct", "--n", str(n), "--k", str(k), "--strategy", strategy)
+        cover_file = tmp_path / "cover.txt"
+        code, out, _ = run_cli(capsys, *args, "--cover-out", str(cover_file))
+        assert code == 0
+        assert cover_file.read_text() == cv.format_cover(plan())
+        _, plain, _ = run_cli(capsys, *args)
+        assert out == plain
+        assert sq.parse_sequence(out).symbols == cv.sequence_from_cover(plan()).symbols
 
 
 class TestVerify:
@@ -106,6 +123,13 @@ class TestVerify:
         f.write_text("n=3 k=1\n0 1 2\n")
         code, _, _ = run_cli(capsys, "verify", "--input", str(f), "--k", "2")
         assert code == 0
+
+    def test_header_without_radius(self, tmp_path, capsys):
+        f = tmp_path / "seq.txt"
+        f.write_text("n=5\n0 1 2 3 4 0 1\n")
+        code, out, err = run_cli(capsys, "verify", "--input", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: sequence header 'n=5' has no 'k=' field\n"
 
     def test_json_missing_pairs(self, tmp_path, capsys):
         f = tmp_path / "seq.txt"

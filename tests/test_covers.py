@@ -202,3 +202,8 @@ class TestCoverFormat:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             cv.parse_cover("1\n2\n")
+
+    @pytest.mark.parametrize("header,field", [("p=13", "k"), ("k=2", "p")])
+    def test_header_missing_field(self, header, field):
+        with pytest.raises(ValueError, match=f"no '{field}=' field"):
+            cv.parse_cover(f"{header}\n1\n2\n")

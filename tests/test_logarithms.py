@@ -240,3 +240,8 @@ class TestLogFnFormat:
     def test_missing_header(self):
         with pytest.raises(ValueError):
             lg.parse_logfn("q=2 f=1\n")
+
+    @pytest.mark.parametrize("line,field", [("q=2", "f"), ("f=1", "q")])
+    def test_value_line_missing_field(self, line, field):
+        with pytest.raises(ValueError, match=f"no '{field}=' field"):
+            lg.parse_logfn(f"k=3\n{line}\n")

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiusseq import sequences as sq
 from radiusseq.errors import AlphabetViolation, NotVerified
@@ -17,6 +19,27 @@ def brute_force_verify(seq):
             if a != b:
                 covered.add((min(a, b), max(a, b)))
     return len(covered) == seq.n * (seq.n - 1) // 2
+
+
+def brute_force_missing(seq):
+    """Every unordered pair with no two occurrences at most k apart, sorted."""
+    pos = {}
+    for i, s in enumerate(seq.symbols):
+        pos.setdefault(s, []).append(i)
+    return [
+        (x, y)
+        for x in range(seq.n)
+        for y in range(x + 1, seq.n)
+        if not any(abs(i - j) <= seq.k for i in pos.get(x, ()) for j in pos.get(y, ()))
+    ]
+
+
+@st.composite
+def radius_sequences(draw):
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 8))
+    symbols = draw(st.lists(st.integers(0, n - 1), max_size=40))
+    return sq.RadiusSequence(n, k, tuple(symbols))
 
 
 class TestVerify:
@@ -49,6 +72,42 @@ class TestVerify:
             m = rng.randrange(0, 25)
             seq = sq.RadiusSequence(n, k, tuple(rng.randrange(n) for _ in range(m)))
             assert sq.verify(seq)[0] == brute_force_verify(seq)
+
+    @settings(max_examples=300, deadline=None)
+    @given(radius_sequences())
+    def test_matches_pair_enumeration(self, seq):
+        missing = brute_force_missing(seq)
+        assert sq.verify(seq) == (not missing, missing)
+
+    def test_single_symbol_alphabet(self):
+        assert sq.verify(sq.RadiusSequence(1, 1, ())) == (True, [])
+        assert sq.verify(sq.RadiusSequence(1, 3, (0, 0))) == (True, [])
+
+    def test_empty_sequence(self):
+        assert sq.verify(sq.RadiusSequence(3, 2, ())) == (False, [(0, 1), (0, 2), (1, 2)])
+
+    @pytest.mark.parametrize("k", [4, 5, 10**9])
+    def test_radius_at_least_length(self, k):
+        # every pair of positions is within reach; a huge k costs nothing extra
+        missing = [(0, 3), (1, 3), (2, 3), (3, 4)]
+        assert sq.verify(sq.RadiusSequence(5, k, (0, 1, 2, 4))) == (False, missing)
+
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_pair_straddling_block_boundary(self, gap):
+        # the only (0, 2) occurrence has its 0 as the last symbol of the
+        # first scatter block and its 2 `gap` symbols later
+        def straddle(gap):
+            block = sq._VERIFY_BLOCK
+            return (1,) * (block - 1) + (0,) + (1,) * (gap - 1) + (2,) + (1,) * 50
+
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap))) == (True, [])
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1))) == (False, [(0, 2)])
+
+    def test_alphabet_violation_names_first_offender(self):
+        with pytest.raises(AlphabetViolation, match="^symbol 7 outside alphabet of size 3$"):
+            sq.verify(sq.RadiusSequence(3, 1, (0, 7, -1, 9)))
+        with pytest.raises(AlphabetViolation, match="^symbol -1 outside alphabet of size 3$"):
+            sq.verify(sq.RadiusSequence(3, 1, (0, -1, 7)))
 
     def test_radius_monotone(self):
         # a verified (n, k) sequence also verifies at radius k+1
@@ -164,6 +223,10 @@ class TestSequenceFormat:
             sq.parse_sequence("0 1 0\n")
         seq = sq.parse_sequence("0 1 0\n", n=2, k=1)
         assert seq.symbols == (0, 1, 0)
+
+    def test_header_without_radius(self):
+        with pytest.raises(ValueError, match="no 'k=' field"):
+            sq.parse_sequence("n=5\n0 1 2 3 4\n")
 
     def test_comments_ignored(self):
         text = "# comment\n# another\nn=2 k=1\n0 1\n"
