@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import kradius, numtheory
 from .errors import CoverIncomplete, NotKRadiusPrime
-from .sequences import RadiusSequence
+from .sequences import RadiusSequence, parse_fields
 
 
 @dataclass(frozen=True)
@@ -185,11 +185,7 @@ def parse_cover(text: str) -> CoverPlan:
         if not line or line.startswith("#"):
             continue
         if header is None:
-            parts = dict(tok.split("=", 1) for tok in line.split())
-            for field in ("p", "k"):
-                if field not in parts:
-                    raise ValueError(f"cover header {line!r} has no '{field}=' field")
-            header = (int(parts["p"]), int(parts["k"]))
+            header = parse_fields(line, "cover header", ("p", "k"))
         else:
             multipliers.append(int(line))
     if header is None:

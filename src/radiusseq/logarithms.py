@@ -2,20 +2,29 @@
 
 A logarithmic function maps {1..k} into Z_k with f(ab) = f(a) + f(b)
 whenever ab <= k, so it is determined by its values at the primes <= k.
-A logarithm is a bijective logarithmic function. The counting machinery
-enumerates one representative per symmetry class (value-sorted blocks of
-interchangeable primes, f(2) scaled onto a divisor of k) and weights it
-by the exact class size, which reproduces the known counts for small k.
+A logarithm is a bijective logarithmic function.
+
+One backtracking engine walks the representatives of the symmetry
+classes (value-sorted blocks of interchangeable primes, f(2) scaled onto
+a divisor of k) and has three uses: counting weights each representative
+by its exact class size, which reproduces the known counts for k <= 42;
+search returns the first representative (or the first N); sharding
+collects the surviving prefixes that worker processes count apart.
+`dlog_logfn` builds the function q -> dlog(q) mod k from a prime modulus,
+and `image_stats` runs its own walk, pruned on image size.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 from . import numtheory
 from .errors import BudgetExceeded, CountingError
+from .sequences import parse_fields
 
 LOG = "log"
 KM = "km"
@@ -137,6 +146,46 @@ def _parity_targets(k: int, cls: str) -> set[int]:
     return set()
 
 
+def _prime_tables(k: int, qs: list[int], targets: set[int]):
+    """Per prime q <= k, the indices m <= k that its value moves.
+
+    Returns (new_items, mult_items). new_items[j] holds (m, e, m in
+    targets) for each m whose largest prime factor is qs[j], i.e. the
+    values fixed once qs[j] is assigned; mult_items[j] holds (m, e) for
+    every multiple m of qs[j]. In both, e is the exponent of qs[j] in m.
+    """
+    spf = _spf_table(k)
+    lpf = [0] * (k + 1)
+    for m in range(2, k + 1):
+        lpf[m] = max(lpf[m // spf[m]], spf[m])
+    new_items: list[list[tuple[int, int, bool]]] = []
+    mult_items: list[list[tuple[int, int]]] = []
+    for q in qs:
+        new = []
+        mult = []
+        for m in range(q, k + 1, q):
+            e = 0
+            t = m
+            while t % q == 0:
+                t //= q
+                e += 1
+            mult.append((m, e))
+            if lpf[m] == q:
+                new.append((m, e, m in targets))
+        new_items.append(new)
+        mult_items.append(mult)
+    return new_items, mult_items
+
+
+def pool_size(workers: int, tasks: int) -> int:
+    """Worker processes to start for `tasks` independent tasks.
+
+    Never more than the tasks or the CPUs, so no argument can make a pool
+    start an unbounded number of processes; at least 1.
+    """
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
 class _Engine:
     """Backtracking search over prime values with symmetry breaking.
 
@@ -144,12 +193,12 @@ class _Engine:
     the components at newly-smooth indices are checked for repeats (and
     for the parity conditions of the requested class). Within a block the
     values must increase, f(2) must divide k, and in search mode f(3) is
-    forced minimal under the scalars fixing f(2).
+    forced minimal under the scalars fixing f(2). Counting, searching and
+    sharding are loops over the one walk in `_leaves`.
     """
 
     def __init__(self, k: int, cls: str, enforce_f3: bool):
         self.k = k
-        self.cls = cls
         self.enforce_f3 = enforce_f3
         self.qs = numtheory.primes(k)
         self.r = len(self.qs)
@@ -166,27 +215,9 @@ class _Engine:
         self.singleton_idx = [
             qidx[b[0]] for b in part.blocks if len(b) == 1
         ]
-        spf = _spf_table(k)
-        lpf = [0] * (k + 1)
-        for m in range(2, k + 1):
-            lpf[m] = max(lpf[m // spf[m]], spf[m])
-        targets = _parity_targets(k, cls)
-        self.new_items: list[list[tuple[int, int, bool]]] = []
-        self.mult_items: list[list[tuple[int, int]]] = []
-        for q in self.qs:
-            new = []
-            mult = []
-            for m in range(q, k + 1, q):
-                e = 0
-                t = m
-                while t % q == 0:
-                    t //= q
-                    e += 1
-                mult.append((m, e))
-                if lpf[m] == q:
-                    new.append((m, e, m in targets))
-            self.new_items.append(new)
-            self.mult_items.append(mult)
+        self.new_items, self.mult_items = _prime_tables(
+            k, self.qs, _parity_targets(k, cls)
+        )
         self.f2_candidates = [d for d in numtheory.divisors(k) if d < k]
         self.units = [a for a in range(1, k) if math.gcd(a, k) == 1]
         self._stab_cache: dict[int, list[int]] = {}
@@ -237,159 +268,55 @@ class _Engine:
                 )
             seen.add(t)
 
-    def count(self, prefix: tuple[int, ...] = ()) -> int:
-        return self._dfs_count(0, prefix)
+    def _leaves(self, j: int, depth: int, prefix: tuple[int, ...] = ()):
+        """Yield once per surviving assignment of primes j..depth-1.
 
-    def _dfs_count(self, j: int, prefix: tuple[int, ...]) -> int:
-        if j == self.r:
-            self._check_representative()
-            return self._multiplicity()
+        While the generator is suspended the assignment is in
+        self.assigned[:depth]; values given in `prefix` are forced rather
+        than enumerated. A walk run to the end restores the state.
+        """
+        if j == depth:
+            yield
+            return
         k = self.k
         partial = self.partial
         used = self.used
-        new = self.new_items[j]
         mult = self.mult_items[j]
-        total = 0
         cands = (prefix[j],) if j < len(prefix) else self._candidates(j)
         for v in cands:
             vals = []
-            ok = True
-            for m, e, needs_even in new:
-                val = (partial[m] + e * v) % k
-                if used[val] or (needs_even and val & 1):
-                    ok = False
-                    break
-                used[val] = 1
-                vals.append(val)
-            if not ok:
-                for val in vals:
-                    used[val] = 0
-                continue
-            for m, e in mult:
-                partial[m] = (partial[m] + e * v) % k
-            self.assigned[j] = v
-            total += self._dfs_count(j + 1, prefix)
-            for m, e in mult:
-                partial[m] = (partial[m] - e * v) % k
-            for val in vals:
-                used[val] = 0
-        return total
-
-    def search(self) -> LogFn | None:
-        return self._dfs_search(0)
-
-    def search_many(self, limit: int) -> list[LogFn]:
-        out: list[LogFn] = []
-        self._dfs_search_many(0, limit, out)
-        return out
-
-    def _dfs_search_many(self, j: int, limit: int, out: list[LogFn]):
-        if j == self.r:
-            out.append(eval_vector(self.k, dict(zip(self.qs, self.assigned))))
-            return
-        k = self.k
-        partial = self.partial
-        used = self.used
-        for v in self._candidates(j):
-            if len(out) >= limit:
-                return
-            vals = []
-            ok = True
             for m, e, needs_even in self.new_items[j]:
                 val = (partial[m] + e * v) % k
                 if used[val] or (needs_even and val & 1):
-                    ok = False
                     break
                 used[val] = 1
                 vals.append(val)
-            if not ok:
-                for val in vals:
-                    used[val] = 0
-                continue
-            for m, e in self.mult_items[j]:
-                partial[m] = (partial[m] + e * v) % k
-            self.assigned[j] = v
-            self._dfs_search_many(j + 1, limit, out)
-            for m, e in self.mult_items[j]:
-                partial[m] = (partial[m] - e * v) % k
+            else:
+                for m, e in mult:
+                    partial[m] = (partial[m] + e * v) % k
+                self.assigned[j] = v
+                yield from self._leaves(j + 1, depth, prefix)
+                for m, e in mult:
+                    partial[m] = (partial[m] - e * v) % k
             for val in vals:
                 used[val] = 0
 
-    def _dfs_search(self, j: int) -> LogFn | None:
-        if j == self.r:
-            return eval_vector(self.k, dict(zip(self.qs, self.assigned)))
-        k = self.k
-        partial = self.partial
-        used = self.used
-        new = self.new_items[j]
-        mult = self.mult_items[j]
-        for v in self._candidates(j):
-            vals = []
-            ok = True
-            for m, e, needs_even in new:
-                val = (partial[m] + e * v) % k
-                if used[val] or (needs_even and val & 1):
-                    ok = False
-                    break
-                used[val] = 1
-                vals.append(val)
-            if not ok:
-                for val in vals:
-                    used[val] = 0
-                continue
-            for m, e in mult:
-                partial[m] = (partial[m] + e * v) % k
-            self.assigned[j] = v
-            found = self._dfs_search(j + 1)
-            for m, e in mult:
-                partial[m] = (partial[m] - e * v) % k
-            for val in vals:
-                used[val] = 0
-            if found is not None:
-                return found
-        return None
+    def _logfn(self) -> LogFn:
+        return eval_vector(self.k, dict(zip(self.qs, self.assigned)))
+
+    def count(self, prefix: tuple[int, ...] = ()) -> int:
+        total = 0
+        for _ in self._leaves(0, self.r, prefix):
+            self._check_representative()
+            total += self._multiplicity()
+        return total
+
+    def search_many(self, limit: int) -> list[LogFn]:
+        return [self._logfn() for _ in islice(self._leaves(0, self.r), limit)]
 
     def prefixes(self, depth: int) -> list[tuple[int, ...]]:
         """All surviving partial assignments of the first `depth` primes."""
-        out: list[tuple[int, ...]] = []
-        self._dfs_prefix(0, depth, out)
-        return out
-
-    def _dfs_prefix(self, j: int, depth: int, out: list):
-        if j == depth:
-            out.append(tuple(self.assigned[:depth]))
-            return
-        k = self.k
-        partial = self.partial
-        used = self.used
-        for v in self._candidates(j):
-            vals = []
-            ok = True
-            for m, e, needs_even in self.new_items[j]:
-                val = (partial[m] + e * v) % k
-                if used[val] or (needs_even and val & 1):
-                    ok = False
-                    break
-                used[val] = 1
-                vals.append(val)
-            if not ok:
-                for val in vals:
-                    used[val] = 0
-                continue
-            for m, e in self.mult_items[j]:
-                partial[m] = (partial[m] + e * v) % k
-            self.assigned[j] = v
-            self._dfs_prefix(j + 1, depth, out)
-            for m, e in self.mult_items[j]:
-                partial[m] = (partial[m] - e * v) % k
-            for val in vals:
-                used[val] = 0
-
-
-def _trivial_logfn(k: int) -> LogFn:
-    if k == 1:
-        return eval_vector(1, {})
-    return eval_vector(2, {2: 1})
+        return [tuple(self.assigned[:depth]) for _ in self._leaves(0, depth)]
 
 
 def search(k: int, cls: str = LOG) -> LogFn | None:
@@ -397,19 +324,20 @@ def search(k: int, cls: str = LOG) -> LogFn | None:
     or None when none exists."""
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
-    if k <= 2:
-        return _trivial_logfn(k)
-    return _Engine(k, cls, enforce_f3=True).search()
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    found = _Engine(k, cls, enforce_f3=True).search_many(1)
+    return found[0] if found else None
 
 
 def search_many(k: int, cls: str = LOG, limit: int = 8) -> list[LogFn]:
     """Up to `limit` class representatives in lexicographic search order."""
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if limit < 1:
         return []
-    if k <= 2:
-        return [_trivial_logfn(k)]
     return _Engine(k, cls, enforce_f3=True).search_many(limit)
 
 
@@ -431,15 +359,24 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
         raise BudgetExceeded(f"k={k} exceeds the counting budget {max_k}")
     if k <= 2:
         return 1
+    engine = _Engine(k, cls, enforce_f3=False)
     if workers <= 1:
-        return _Engine(k, cls, enforce_f3=False).count()
+        return engine.count()
     depth = 1 if numtheory.prime_count(k) == 1 else 2
-    tasks = _Engine(k, cls, enforce_f3=False).prefixes(depth)
-    if len(tasks) <= 1:
-        return _Engine(k, cls, enforce_f3=False).count()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(_count_shard, [(k, cls, t) for t in tasks]))
-    return sum(parts)
+    tasks = engine.prefixes(depth)
+    size = pool_size(workers, len(tasks))
+    if size == 1:
+        return engine.count()
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return sum(pool.map(_count_shard, [(k, cls, t) for t in tasks]))
+
+
+def dlog_logfn(p: int, k: int) -> LogFn:
+    """The length-k function q -> dlog(q) mod k, for the smallest
+    primitive root of the prime p, evaluated at every prime q <= k."""
+    alpha = numtheory.primitive_root(p)
+    pv = {q: numtheory.discrete_log(alpha, q, p) % k for q in numtheory.primes(k)}
+    return eval_vector(k, pv)
 
 
 def log_from_safe_prime(k: int) -> LogFn | None:
@@ -453,12 +390,7 @@ def log_from_safe_prime(k: int) -> LogFn | None:
     """
     for p in (2 * k + 1, k + 1):
         if numtheory.is_prime(p):
-            alpha = numtheory.primitive_root(p)
-            pv = {
-                q: numtheory.discrete_log(alpha, q, p) % k
-                for q in numtheory.primes(k)
-            }
-            return eval_vector(k, pv)
+            return dlog_logfn(p, k)
     return None
 
 
@@ -475,26 +407,7 @@ def image_stats(k: int, max_k: int = DEFAULT_IMAGE_MAX_K) -> tuple[int, int]:
         return 1, 1
     qs = numtheory.primes(k)
     r = len(qs)
-    spf = _spf_table(k)
-    lpf = [0] * (k + 1)
-    for m in range(2, k + 1):
-        lpf[m] = max(lpf[m // spf[m]], spf[m])
-    new_items = []
-    mult_items = []
-    for q in qs:
-        new = []
-        mult = []
-        for m in range(q, k + 1, q):
-            e = 0
-            t = m
-            while t % q == 0:
-                t //= q
-                e += 1
-            mult.append((m, e))
-            if lpf[m] == q:
-                new.append((m, e))
-        new_items.append(new)
-        mult_items.append(mult)
+    new_items, mult_items = _prime_tables(k, qs, set())
     partial = [0] * (k + 1)
     cnt = [0] * k
     cnt[0] = 1
@@ -510,7 +423,7 @@ def image_stats(k: int, max_k: int = DEFAULT_IMAGE_MAX_K) -> tuple[int, int]:
         new = new_items[j]
         mult = mult_items[j]
         for v in range(k):
-            vals = [(partial[m] + e * v) % k for m, e in new]
+            vals = [(partial[m] + e * v) % k for m, e, _ in new]
             gained = 0
             inj = injective
             for val in vals:
@@ -566,11 +479,8 @@ def parse_logfn(text: str) -> LogFn:
         if line.startswith("k="):
             k = int(line.split("=", 1)[1])
         else:
-            parts = dict(tok.split("=", 1) for tok in line.split())
-            for field in ("q", "f"):
-                if field not in parts:
-                    raise ValueError(f"logarithm line {line!r} has no '{field}=' field")
-            pv[int(parts["q"])] = int(parts["f"])
+            q, value = parse_fields(line, "logarithm line", ("q", "f"))
+            pv[q] = value
     if k is None:
         raise ValueError("missing 'k=<int>' line")
     return eval_vector(k, pv)

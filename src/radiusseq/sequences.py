@@ -164,6 +164,24 @@ def format_sequence(seq: RadiusSequence, comments: list[str] | None = None) -> s
     return "\n".join(lines) + "\n"
 
 
+def parse_fields(line: str, what: str, names: tuple[str, ...]) -> list[int]:
+    """The integer values of the fields `names` on a ``name=value ...`` line.
+
+    A token without '=' or a missing field raises a ValueError that names
+    it; `what` says which kind of line was read.
+    """
+    fields = {}
+    for tok in line.split():
+        name, eq, value = tok.partition("=")
+        if not eq:
+            raise ValueError(f"{what} {line!r} has a token {tok!r} without '='")
+        fields[name] = value
+    for name in names:
+        if name not in fields:
+            raise ValueError(f"{what} {line!r} has no '{name}=' field")
+    return [int(fields[name]) for name in names]
+
+
 def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> RadiusSequence:
     """Parse the text format; explicit n/k arguments override the header."""
     header_n = header_k = None
@@ -174,11 +192,7 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
         if not line or line.startswith("#"):
             continue
         if not saw_content and line.startswith("n="):
-            parts = dict(tok.split("=", 1) for tok in line.split())
-            if "k" not in parts:
-                raise ValueError(f"sequence header {line!r} has no 'k=' field")
-            header_n = int(parts["n"])
-            header_k = int(parts["k"])
+            header_n, header_k = parse_fields(line, "sequence header", ("n", "k"))
             saw_content = True
             continue
         saw_content = True

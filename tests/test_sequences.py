@@ -228,6 +228,10 @@ class TestSequenceFormat:
         with pytest.raises(ValueError, match="no 'k=' field"):
             sq.parse_sequence("n=5\n0 1 2 3 4\n")
 
+    def test_header_token_without_equals(self):
+        with pytest.raises(ValueError, match="has a token 'k' without '='"):
+            sq.parse_sequence("n=5 k\n0 1 2 3 4\n")
+
     def test_comments_ignored(self):
         text = "# comment\n# another\nn=2 k=1\n0 1\n"
         assert sq.parse_sequence(text).symbols == (0, 1)
