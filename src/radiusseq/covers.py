@@ -94,23 +94,23 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     return seq
 
 
-def _cosets_of_two(p: int):
-    """Cosets of the subgroup generated by 2 in Z_p*, ordered by smallest
-    element; each coset starts at its minimum and walks by doubling."""
-    order = numtheory.multiplicative_order(2, p)
-    member = {}
-    cosets = []
+def coset_minima(p: int, subgroup) -> list[int]:
+    """Ascending minima of the cosets of +-H in Z_p*, H the given subgroup.
+
+    When -1 is in H every coset of H is its own negation and each coset's
+    minimum is returned; otherwise only the smaller minimum of each pair
+    {C, -C}.
+    """
+    seen = bytearray(p)
+    minima = []
     for c in range(1, p):
-        if c in member:
+        if seen[c]:
             continue
-        coset = []
-        x = c
-        for _ in range(order):
-            coset.append(x)
-            member[x] = len(cosets)
-            x = x * 2 % p
-        cosets.append(coset)
-    return order, cosets, member
+        minima.append(c)
+        for h in subgroup:
+            x = c * h % p
+            seen[x] = seen[p - x] = 1
+    return minima
 
 
 def two_radius_cover(p: int) -> CoverPlan:
@@ -121,30 +121,16 @@ def two_radius_cover(p: int) -> CoverPlan:
     """
     if p < 5 or not numtheory.is_prime(p):
         raise ValueError("need an odd prime p >= 5")
-    order, cosets, member = _cosets_of_two(p)
-    multipliers: list[int] = []
-    if order % 2 == 1:
-        # Cosets pair with their negations; use the one with the smaller
-        # minimum and walk it by even powers of 2, covering the pair.
-        paired = set()
-        for idx, coset in enumerate(cosets):
-            if idx in paired:
-                continue
-            neg = member[(-coset[0]) % p]
-            if neg == idx:
-                raise AssertionError("odd order of 2 forces -C != C")
-            paired.add(idx)
-            paired.add(neg)
-            c = coset[0]
-            for i in range((order + 1) // 2):
-                multipliers.append(c * pow(2, 2 * i, p) % p)
-    else:
-        reach = -(-order // 4)  # ceil(l/4)
-        for coset in cosets:
-            c = coset[0]
-            for j in range(reach):
-                multipliers.append(c * pow(2, 2 * j, p) % p)
-    return CoverPlan(p, 2, tuple(multipliers))
+    order = numtheory.multiplicative_order(2, p)
+    # With l odd, -1 is not in <2>: each minimum c stands for a pair
+    # {C, -C}, which the (l+1)/2 even powers of 2 from c cover. With l
+    # even, 2**(l/2) = -1 and ceil(l/4) even powers cover each coset.
+    steps = (order + 1) // 2 if order % 2 == 1 else -(-order // 4)
+    powers = [pow(2, i, p) for i in range(order)]
+    multipliers = tuple(
+        c * pow(2, 2 * i, p) % p for c in coset_minima(p, powers) for i in range(steps)
+    )
+    return CoverPlan(p, 2, multipliers)
 
 
 def two_radius_cover_size(p: int) -> int:

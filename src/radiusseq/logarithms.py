@@ -357,6 +357,8 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
         raise ValueError(f"unknown class {cls!r}")
     if k > max_k:
         raise BudgetExceeded(f"k={k} exceeds the counting budget {max_k}")
+    if k < 1:
+        raise ValueError("k must be >= 1")
     if k <= 2:
         return 1
     engine = _Engine(k, cls, enforce_f3=False)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import logarithms, numtheory
-from .covers import CoverPlan, block_A, sequence_from_cover
+from .covers import CoverPlan, block_A, coset_minima, sequence_from_cover
 from .errors import BadPrime, NotBijective
 from .sequences import RadiusSequence
 
@@ -83,23 +83,6 @@ def locate(y, t: TilingMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return z, c
 
 
-def _invert_rational(rows):
-    n = len(rows)
-    aug = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(rows)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                factor = aug[i][c]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
-
-
 def _exponent_map_value(z, qs, p) -> int:
     out = 1
     for q, e in zip(qs, z):
@@ -107,27 +90,50 @@ def _exponent_map_value(z, qs, p) -> int:
     return out
 
 
-def _subgroup_cover_detail(p: int, k: int, f: logarithms.LogFn):
-    """Multipliers covering H plus the measured pipeline quantities.
+def _cofactors(rows) -> list[list[int]]:
+    """Cofactor matrix C of a square integer matrix: rows[a] . C[b] equals
+    det(rows) when a == b and 0 otherwise, so C[i] / det is column i of
+    the inverse."""
+    n = len(rows)
+    cof = []
+    for i in range(n):
+        others = [r for a, r in enumerate(rows) if a != i]
+        minors = [numtheory.determinant([r[:j] + r[j + 1 :] for r in others]) for j in range(n)]
+        cof.append([(-1) ** (i + j) * m for j, m in enumerate(minors)])
+    return cof
 
-    Returns (multipliers, w, subgroup, ell) where w counts the tiling
-    translates meeting the fundamental region.
+
+def _reduce(v, rows, cof, det) -> tuple[int, ...]:
+    """v minus sum(floor(c_i) * rows[i]), where c = v * rows^-1.
+
+    Each c_i is the integer v . cof[i] over det, and `//` floors for either
+    sign of det, so the result lies in the fundamental parallelepiped.
     """
+    red = list(v)
+    for row, col in zip(rows, cof):
+        fl = sum(x * y for x, y in zip(v, col)) // det
+        if fl:
+            red = [x - fl * y for x, y in zip(red, row)]
+    return tuple(red)
+
+
+def _subgroup_region(p: int, k: int) -> dict[int, tuple[int, ...]]:
+    """The logarithm-independent half of the subgroup cover: each h in
+    H = <primes <= k> of Z_p* mapped to an exponent vector of h reduced
+    into the fundamental parallelepiped of the LLL-reduced relation
+    lattice of those primes."""
     qs = numtheory.primes(k)
-    r = len(qs)
     if numtheory.legendre(-1, p) != -1:
         raise BadPrime(f"-1 must be a non-residue mod {p}")
     for q in qs:
         if numtheory.legendre(q, p) != 1:
             raise BadPrime(f"{q} must be a quadratic residue mod {p}")
-    if r == 0:
-        return [1], 1, {1}, 1
     alpha = numtheory.primitive_root(p)
     exps = [numtheory.discrete_log(alpha, q, p) for q in qs]
     # The relation lattice of q_1..q_r mod p, taken mod p-1, is the same
     # lattice as mod |H|; LLL keeps the fundamental region compact.
     lattice = numtheory.lll_reduce(numtheory.kernel_lattice(exps, p - 1))
-    vec_of: dict[int, tuple[int, ...]] = {1: (0,) * r}
+    vec_of: dict[int, tuple[int, ...]] = {1: (0,) * len(qs)}
     queue = [1]
     while queue:
         h = queue.pop()
@@ -139,34 +145,29 @@ def _subgroup_cover_detail(p: int, k: int, f: logarithms.LogFn):
                 nxt[i] += 1
                 vec_of[h2] = tuple(nxt)
                 queue.append(h2)
-    ell = len(vec_of)
-    if abs(lattice.determinant()) != ell:
+    det = lattice.determinant()
+    if abs(det) != len(vec_of):
         raise AssertionError("kernel determinant does not match |H|")
-    inv = _invert_rational(lattice.rows)
-    region = set()
-    for v in vec_of.values():
-        coeffs = [
-            sum(Fraction(v[j]) * inv[j][i] for j in range(r)) for i in range(r)
-        ]
-        red = list(v)
-        for i in range(r):
-            fl = math.floor(coeffs[i])
-            if fl:
-                red = [x - fl * y for x, y in zip(red, lattice.rows[i])]
-        region.add(tuple(red))
-    if len(region) != ell:
+    cof = _cofactors(lattice.rows)
+    region = {h: _reduce(v, lattice.rows, cof, det) for h, v in vec_of.items()}
+    if len(set(region.values())) != len(region):
         raise AssertionError("fundamental region misses cosets")
+    return region
+
+
+def _region_cover(p: int, k: int, region, f: logarithms.LogFn) -> tuple[list[int], int]:
+    """Multipliers covering H, and the number of tiling translates of f
+    meeting the fundamental region."""
     tiling = tiling_from_log(f)
-    translates = {locate(y, tiling)[0] for y in region}
-    w = len(translates)
+    translates = {locate(y, tiling)[0] for y in region.values()}
+    qs = numtheory.primes(k)
     multipliers = sorted({_exponent_map_value(z, qs, p) for z in translates})
-    subgroup = set(vec_of)
     covered = set()
     for d in multipliers:
         covered |= block_A(d, k, p)
-    if not subgroup <= covered:
+    if not region.keys() <= covered:
         raise AssertionError("multiplier blocks fail to cover the subgroup")
-    return multipliers, w, subgroup, ell
+    return multipliers, len(translates)
 
 
 def subgroup_cover(p: int, k: int, f: logarithms.LogFn) -> list[int]:
@@ -175,8 +176,7 @@ def subgroup_cover(p: int, k: int, f: logarithms.LogFn) -> list[int]:
     Requires every prime <= k to be a quadratic residue mod p while -1 is
     not; raises BadPrime otherwise.
     """
-    multipliers, _, _, _ = _subgroup_cover_detail(p, k, f)
-    return multipliers
+    return _region_cover(p, k, _subgroup_region(p, k), f)[0]
 
 
 def admissible_prime(n: int, k: int) -> int:
@@ -226,55 +226,34 @@ def tiling_sequence(
     """
     if n < 2:
         raise ValueError("n must be >= 2")
+    if f is not None and f.k != k:
+        raise ValueError("logarithm length does not match k")
     p = admissible_prime(n, k)
+    region = _subgroup_region(p, k)
     if f is None:
         best = None
         for g in logarithms.search_many(k, limit=candidates):
-            detail = _subgroup_cover_detail(p, k, g)
-            key = (detail[1], len(detail[0]))
-            if best is None or key < best[0]:
-                best = (key, g, detail)
+            multipliers, w = _region_cover(p, k, region, g)
+            if best is None or (w, len(multipliers)) < best[:2]:
+                best = (w, len(multipliers), multipliers)
         if best is None:
             raise NotBijective(f"no logarithm of length {k} exists")
-        _, f, (multipliers, w, subgroup, ell) = best
+        w, _, multipliers = best
     else:
-        if f.k != k:
-            raise ValueError("logarithm length does not match k")
-        multipliers, w, subgroup, ell = _subgroup_cover_detail(p, k, f)
-    residues = sorted(subgroup)
-    t = (p - 1) // ell
-    member: dict[int, int] = {}
-    cosets: list[list[int]] = []
-    for c in range(1, p):
-        if c in member:
-            continue
-        cs = sorted(c * h % p for h in residues)
-        idx = len(cosets)
-        for x in cs:
-            member[x] = idx
-        cosets.append(cs)
-    if len(cosets) != t or t % 2 != 0:
+        multipliers, w = _region_cover(p, k, region, f)
+    ell = len(region)
+    # -1 is a non-residue and H holds only residues, so the cosets of H
+    # pair off with their negations and reps holds one minimum per pair.
+    reps = coset_minima(p, region)
+    if 2 * len(reps) * ell != p - 1:
         raise AssertionError("coset decomposition of Z_p* is inconsistent")
-    reps = []
-    paired = set()
-    for idx, cs in enumerate(cosets):
-        if idx in paired:
-            continue
-        neg = member[(p - cs[0]) % p]
-        if neg == idx:
-            raise AssertionError("a coset equals its own negation")
-        paired.add(idx)
-        paired.add(neg)
-        reps.append(cs[0])
-    plan = CoverPlan(
-        p, k, tuple(c * d % p for c in reps for d in multipliers)
-    )
+    plan = CoverPlan(p, k, tuple(c * d % p for c in reps for d in multipliers))
     seq = sequence_from_cover(plan)
     report = TilingReport(
         p=p,
         k=k,
         subgroup_order=ell,
-        coset_count=t,
+        coset_count=(p - 1) // ell,
         translate_count=w,
         cover_size=len(plan.multipliers),
         seq_length=len(seq),

@@ -159,6 +159,12 @@ class TestLogs:
                              "--workers", "2")
         assert out1 == out2
 
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    def test_count_rejects_nonpositive_length(self, capsys, k):
+        code, out, err = run_cli(capsys, "logs", "count", "--k", k)
+        assert code == 1 and out == ""
+        assert err == "error: k must be >= 1\n"
+
     def test_search_output_parses(self, capsys):
         code, out, _ = run_cli(capsys, "logs", "search", "--k", "6",
                                "--class", "special")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -138,6 +139,29 @@ class TestTwoRadiusCover:
             assert sq.verify(seq)[0], p
             assert len(seq) >= sq.lower_bound(p, 2), p
 
+    # Multipliers recorded from the implementation that paired cosets of
+    # <2> explicitly; ord_2(p) is odd for 7, 23, 31, 73, 1151 and even for
+    # 17, 41.
+    @pytest.mark.parametrize(
+        "p,multipliers",
+        [
+            (7, (1, 4)),
+            (17, (1, 4, 3, 12)),
+            (23, (1, 4, 16, 18, 3, 12)),
+            (31, (1, 4, 16, 3, 12, 17, 5, 20, 18)),
+            (41, (1, 4, 16, 23, 10, 3, 12, 7, 28, 30)),
+            (73, (1, 4, 16, 64, 37, 3, 12, 48, 46, 38, 5, 20, 7, 28, 39, 11, 44, 30, 47, 42)),
+        ],
+    )
+    def test_pinned_multipliers(self, p, multipliers):
+        assert cv.two_radius_cover(p).multipliers == multipliers
+
+    def test_pinned_multipliers_p1151(self):
+        plan = cv.two_radius_cover(1151)
+        assert len(plan.multipliers) == 288
+        digest = hashlib.sha256(",".join(map(str, plan.multipliers)).encode()).hexdigest()
+        assert digest == "5ae06a8e74530fb57d16cc594df4e4ebefbb3c7a2bfb79dac79c7f660eff6464"
+
     def test_five_mod_eight_bound(self):
         # order of 2 is divisible by 4, giving length (p^2+3)/4 exactly
         for p in nt.primes(500):
@@ -146,6 +170,39 @@ class TestTwoRadiusCover:
             assert nt.multiplicative_order(2, p) % 4 == 0, p
             seq = cv.sequence_from_cover(cv.two_radius_cover(p))
             assert len(seq) == math.comb(p, 2) // 2 + (p + 3) // 4, p
+
+
+class TestCosetMinima:
+    @staticmethod
+    def generated(p, gens):
+        sub, frontier = {1}, [1]
+        while frontier:
+            h = frontier.pop()
+            for g in gens:
+                if h * g % p not in sub:
+                    sub.add(h * g % p)
+                    frontier.append(h * g % p)
+        return sub
+
+    def test_minima_times_signed_subgroup_partition(self):
+        for p in nt.primes(160):
+            if p < 5:
+                continue
+            for gens in ([2], [3], [4], [2, 3], [p - 1], [1]):
+                sub = self.generated(p, gens)
+                minima = cv.coset_minima(p, sub)
+                assert minima == sorted(minima) and minima[0] == 1
+                parts = [{c * h * s % p for h in sub for s in (1, -1)} for c in minima]
+                assert sum(map(len, parts)) == p - 1, (p, gens)
+                assert set().union(*parts) == set(range(1, p)), (p, gens)
+                assert all(c == min(part) for c, part in zip(minima, parts))
+                t = (p - 1) // len(sub)
+                assert len(minima) == (t if p - 1 in sub else t // 2), (p, gens)
+
+    def test_examples(self):
+        assert cv.coset_minima(7, {1, 2, 4}) == [1]
+        assert cv.coset_minima(13, {1, 3, 9}) == [1, 2]
+        assert cv.coset_minima(13, {1, 12}) == [1, 2, 3, 4, 5, 6]
 
 
 class TestPrimeCover:

@@ -126,6 +126,14 @@ class TestSearch:
                 lg.search(k)
             with pytest.raises(ValueError, match="k must be >= 1"):
                 lg.search_many(k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                lg.count(k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                lg.count(k, lg.SPECIAL, workers=2)
+
+    def test_count_of_lengths_one_and_two(self):
+        for cls in lg.CLASSES:
+            assert lg.count(1, cls) == lg.count(2, cls) == 1
 
     def test_search_many_prefix(self):
         many = lg.search_many(6, limit=3)

@@ -1,7 +1,11 @@
+import hashlib
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiusseq import covers as cv
 from radiusseq import logarithms as lg
@@ -138,8 +142,8 @@ class TestSubgroupCover:
             assert sub <= covered
 
     def test_fundamental_region_and_lll_bound_k6_p239(self):
-        f = lg.search(6)
-        mult, w, sub, ell = tl._subgroup_cover_detail(239, 6, f)
+        region = tl._subgroup_region(239, 6)
+        sub, ell = set(region), len(region)
         assert ell == len(sub) == 119
         exps = [nt.discrete_log(nt.primitive_root(239), q, 239) for q in (2, 3, 5)]
         basis = nt.lll_reduce(nt.kernel_lattice(exps, 238))
@@ -147,6 +151,59 @@ class TestSubgroupCover:
         prod_sq = math.prod(sum(x * x for x in row) for row in basis.rows)
         r = 3
         assert prod_sq <= 2 ** (r * (r - 1) // 2) * ell**2
+
+
+def _dot(u, v):
+    return sum(x * y for x, y in zip(u, v))
+
+
+def _nonsingular_bases():
+    def build(r):
+        row = st.tuples(*[st.integers(-9, 9)] * r)
+        return st.tuples(*[row] * r).filter(lambda rows: nt.determinant(rows) != 0)
+
+    return st.integers(1, 4).flatmap(build)
+
+
+class TestIntegerReduction:
+    @settings(max_examples=200, deadline=None)
+    @given(_nonsingular_bases(), st.data())
+    def test_reduce_matches_rational_floor(self, rows, data):
+        r = len(rows)
+        v = data.draw(st.tuples(*[st.integers(-60, 60)] * r))
+        det = nt.determinant(rows)
+        cof = tl._cofactors(rows)
+        for a in range(r):
+            for b in range(r):
+                assert _dot(rows[a], cof[b]) == (det if a == b else 0)
+        red = tl._reduce(v, rows, cof, det)
+        sign = 1 if det > 0 else -1
+        for col in cof:
+            # red sits in the fundamental parallelepiped ...
+            assert 0 <= _dot(red, col) * sign < abs(det)
+            # ... and differs from v by a lattice vector.
+            assert _dot([x - y for x, y in zip(v, red)], col) % det == 0
+        # Oracle: the floors of the rational coordinates v * rows^-1.
+        coeffs = [Fraction(_dot(v, col), det) for col in cof]
+        want = [x - sum(math.floor(c) * row[j] for c, row in zip(coeffs, rows))
+                for j, x in enumerate(v)]
+        assert red == tuple(want)
+
+    @pytest.mark.parametrize("n,k", [(239, 6), (1000, 6), (1000, 10)])
+    def test_region_is_one_point_per_lattice_coset(self, n, k):
+        p = tl.admissible_prime(n, k)
+        region = tl._subgroup_region(p, k)
+        qs = nt.primes(k)
+        exps = [nt.discrete_log(nt.primitive_root(p), q, p) for q in qs]
+        rows = nt.lll_reduce(nt.kernel_lattice(exps, p - 1)).rows
+        det = nt.determinant(rows)
+        sign = 1 if det > 0 else -1
+        cof = tl._cofactors(rows)
+        assert len(set(region.values())) == len(region) == abs(det)
+        for h, red in region.items():
+            assert all(0 <= _dot(red, col) * sign < abs(det) for col in cof)
+            # red is an exponent vector of h: its class mod the lattice is h.
+            assert math.prod(pow(q, e, p) for q, e in zip(qs, red)) % p == h
 
 
 class TestAdmissiblePrime:
@@ -187,3 +244,25 @@ class TestTilingSequence:
             assert sq.verify(seq)[0]
             assert rep.seq_length == rep.cover_size * (rep.p + k - 1) + 1
             assert rep.seq_length > math.comb(rep.p, 2) / k
+
+
+# Reports and symbol digests recorded from the pipeline that reduced the
+# region with rational arithmetic and rebuilt it for every candidate
+# logarithm; the integer-only, build-once pipeline must reproduce them.
+PINNED = [
+    (239, 6, False, (239, 6, 119, 2, 37, 29, 7077, Fraction(6066, 4063)),
+     "c0aa491e5f9f76749ff2d5d9d73c46d596b7bd7c0e37f7ec8e77044f09098c78"),
+    (1000, 6, False, (1319, 6, 659, 2, 173, 173, 229053, Fraction(76351, 27750)),
+     "415b0418baf74a379b6d48875e5414d1ca3c22869c5900099e39fad27e6cb360"),
+    (1000, 10, False, (3359, 10, 1679, 2, 385, 363, 1222585, Fraction(244517, 9990)),
+     "dfe4cffc6b137c13495266ee12adbbbb48feb60b71f11be9c168fae0a9e79ffc"),
+    (1000, 10, True, (3359, 10, 1679, 2, 392, 383, 1289945, Fraction(257989, 9990)),
+     "2a905a639ae9771cc060b9d7014f02800dde44de98f06540bc20991bfd73e769"),
+]
+
+
+@pytest.mark.parametrize("n,k,explicit,report,digest", PINNED)
+def test_pinned_report_and_symbols(n, k, explicit, report, digest):
+    seq, rep = tl.tiling_sequence(n, k, lg.search(k) if explicit else None)
+    assert rep == tl.TilingReport(*report)
+    assert hashlib.sha256(",".join(map(str, seq.symbols)).encode()).hexdigest() == digest
