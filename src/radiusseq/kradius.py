@@ -19,18 +19,36 @@ DEFAULT_HORIZON = 10**7
 CSV_HEADER = "k,limit,primes_scanned,hits,observed,predicted"
 
 
-def _qualifies(p: int, k: int) -> bool:
-    """Predicate body; assumes p is prime."""
+def _spf_for(k: int, bound: int) -> list[int]:
+    """The smallest-prime-factor table _qualifies reads, for primes up to
+    bound. A k-radius prime is at least 2k + 1, so below that no table is
+    built and a huge k costs no memory."""
+    return logarithms._spf_table(k) if 2 * k < bound else []
+
+
+def _qualifies(p: int, k: int, spf: list[int]) -> bool:
+    """Predicate body; assumes p is prime and spf = _spf_for(k, bound) for
+    some bound >= p.
+
+    The congruence p = 1 mod 2k makes (p-1)/k even, which the
+    block-disjointness argument relies on. The k-th power character
+    chi(i) = i**((p-1)/k) mod p is completely multiplicative, so `pow` runs
+    at the primes <= k only and every other value is chi(q) * chi(i/q) for
+    the smallest prime factor q of i; the scan stops at the first repeat.
+    """
     if p % (2 * k) != 1:
         return False
-    # The congruence makes (p-1)/k even, which the block-disjointness
-    # argument relies on.
-    assert ((p - 1) // k) % 2 == 0
-    if k == 1:
-        return True
     e = (p - 1) // k
-    powers = [pow(i, e, p) for i in range(1, k + 1)]
-    return len(set(powers)) == k
+    chi = [1] * (k + 1)
+    seen = {1}
+    for i in range(2, k + 1):
+        q = spf[i]
+        c = pow(i, e, p) if q == i else chi[q] * chi[i // q] % p
+        if c in seen:
+            return False
+        seen.add(c)
+        chi[i] = c
+    return True
 
 
 def is_k_radius_prime(p: int, k: int) -> bool:
@@ -39,7 +57,7 @@ def is_k_radius_prime(p: int, k: int) -> bool:
         raise ValueError("k must be >= 1")
     if not numtheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _qualifies(p, k)
+    return _qualifies(p, k, _spf_for(k, p))
 
 
 def next_k_radius_prime(n: int, k: int, horizon: int = DEFAULT_HORIZON) -> int | None:
@@ -47,10 +65,11 @@ def next_k_radius_prime(n: int, k: int, horizon: int = DEFAULT_HORIZON) -> int |
     if k < 1:
         raise ValueError("k must be >= 1")
     step = 2 * k
+    spf = _spf_for(k, horizon)
     p = max(n, 3)
     p += (1 - p) % step  # first candidate = 1 mod 2k
     while p <= horizon:
-        if numtheory.is_prime(p) and _qualifies(p, k):
+        if numtheory.is_prime(p) and _qualifies(p, k, spf):
             return p
         p += step
     return None
@@ -113,12 +132,13 @@ def _scan_interval(args) -> tuple[int, int, list[int]]:
     hits = 0
     found: list[int] = []
     step = 2 * k
+    spf = _spf_for(k, hi)
     for i in range(size):
         if not flags[i]:
             continue
         p = lo + i
         n_primes += 1
-        if p % step == 1 and _qualifies(p, k):
+        if p % step == 1 and _qualifies(p, k, spf):
             hits += 1
             if collect:
                 found.append(p)

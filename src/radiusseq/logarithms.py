@@ -7,7 +7,9 @@ A logarithm is a bijective logarithmic function.
 One backtracking engine walks the representatives of the symmetry
 classes (value-sorted blocks of interchangeable primes, f(2) scaled onto
 a divisor of k) and has three uses: counting weights each representative
-by its exact class size, which reproduces the known counts for k <= 42;
+by its exact class size, which reproduces the known counts for k <= 42,
+and counts the top block of primes above k/2 in closed form (they take
+the values left over in any block-increasing order) instead of walking it;
 search returns the first representative (or the first N); sharding
 collects the surviving prefixes that worker processes count apart.
 `dlog_logfn` builds the function q -> dlog(q) mod k from a prime modulus,
@@ -20,7 +22,7 @@ import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
+from itertools import islice, permutations
 
 from . import numtheory
 from .errors import BudgetExceeded, CountingError
@@ -218,6 +220,31 @@ class _Engine:
         self.new_items, self.mult_items = _prime_tables(
             k, self.qs, _parity_targets(k, cls)
         )
+        # The tail: the last primes whose value moves their own index alone
+        # (2q > k), with all of Z_k as candidates (not f(2), nor f(3) when
+        # it is forced minimal) and no block reaching below them. Once the
+        # primes before the tail are assigned, exactly len(tail) values are
+        # unused, and every bijection onto them that keeps each block
+        # increasing survives, so count weights each node at the tail start
+        # by the number of those bijections instead of walking them.
+        tail = self.r
+        first_free = 2 if enforce_f3 else 1
+        while tail > first_free and (
+            self.new_items[tail - 1] == [(self.qs[tail - 1], 1, False)]
+            and self.mult_items[tail - 1] == [(self.qs[tail - 1], 1)]
+        ):
+            tail -= 1
+        while any(0 <= self.pred[j] < tail for j in range(tail, self.r)):
+            tail += 1
+        self.tail = tail
+        # Singleton tail primes are enumerated so that _check_representative
+        # sees each of their values; the other tail blocks share the values
+        # left over in (sum |B|)! / prod |B|! ways.
+        grouped = [b for b in part.blocks if qidx[b[0]] >= tail and len(b) > 1]
+        self.tail_singles = [j for j in self.singleton_idx if j >= tail]
+        self.tail_ways = math.factorial(sum(map(len, grouped)))
+        for b in grouped:
+            self.tail_ways //= math.factorial(len(b))
         self.f2_candidates = [d for d in numtheory.divisors(k) if d < k]
         self.units = [a for a in range(1, k) if math.gcd(a, k) == 1]
         self._stab_cache: dict[int, list[int]] = {}
@@ -305,10 +332,26 @@ class _Engine:
         return eval_vector(self.k, dict(zip(self.qs, self.assigned)))
 
     def count(self, prefix: tuple[int, ...] = ()) -> int:
+        if len(prefix) > self.tail:
+            # The prefix reaches into the tail: walk every prime.
+            depth, singles, ways = self.r, [], 1
+        else:
+            depth, singles, ways = self.tail, self.tail_singles, self.tail_ways
+        k = self.k
+        used = self.used
+        assigned = self.assigned
+        weight: dict[int, int] = {}
         total = 0
-        for _ in self._leaves(0, self.r, prefix):
-            self._check_representative()
-            total += self._multiplicity()
+        for _ in self._leaves(0, depth, prefix):
+            w = weight.get(assigned[0])
+            if w is None:
+                w = weight[assigned[0]] = self._multiplicity() * ways
+            free = [v for v in range(k) if not used[v]] if singles else ()
+            for vals in permutations(free, len(singles)):
+                for j, v in zip(singles, vals):
+                    assigned[j] = v
+                self._check_representative()
+                total += w
         return total
 
     def search_many(self, limit: int) -> list[LogFn]:
@@ -350,8 +393,12 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
     """Exact number of length-k functions of the given class.
 
     Each search representative contributes phi(k/f(2)) times the product
-    of the block-size factorials. Counts above the budget ceiling raise
-    BudgetExceeded; results are identical for any worker count.
+    of the block-size factorials. The walk stops before the primes q > k/2
+    whose value moves index q alone: the values still unused go to them in
+    t!/prod|B|! ways (t such primes, B their blocks), and only the values
+    of singleton blocks among them are enumerated, for the representative
+    check. Counts above the budget ceiling raise BudgetExceeded; results
+    are identical for any worker count.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")

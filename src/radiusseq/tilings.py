@@ -174,8 +174,10 @@ def subgroup_cover(p: int, k: int, f: logarithms.LogFn) -> list[int]:
     """Multipliers d in H = <primes <= k> whose blocks d*{1..k} cover H.
 
     Requires every prime <= k to be a quadratic residue mod p while -1 is
-    not; raises BadPrime otherwise.
+    not; raises BadPrime otherwise, and ValueError when f.k != k.
     """
+    if f.k != k:
+        raise ValueError("logarithm length does not match k")
     return _region_cover(p, k, _subgroup_region(p, k), f)[0]
 
 

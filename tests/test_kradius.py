@@ -9,6 +9,14 @@ from radiusseq import numtheory as nt
 from radiusseq.errors import NotKRadiusPrime
 
 
+def pow_is_k_radius(p, k):
+    """Oracle: one `pow` per i in 1..k, then compare the residue set."""
+    if p % (2 * k) != 1:
+        return False
+    e = (p - 1) // k
+    return len({pow(i, e, p) for i in range(1, k + 1)}) == k
+
+
 def brute_is_k_radius(p, k):
     if p % (2 * k) != 1:
         return False
@@ -33,6 +41,18 @@ class TestPredicate:
         for p in nt.primes(300):
             for k in range(1, 8):
                 assert kr.is_k_radius_prime(p, k) == brute_is_k_radius(p, k), (p, k)
+
+    def test_against_one_pow_per_residue(self):
+        for k in range(1, 13):
+            spf = kr._spf_for(k, 20000)
+            for p in nt.primes(20000):
+                assert kr._qualifies(p, k, spf) == pow_is_k_radius(p, k), (p, k)
+
+    def test_huge_k_builds_no_table(self):
+        # a k-radius prime is at least 2k + 1, so none lies below the bound
+        assert kr._spf_for(10**12, 10**6) == []
+        assert not kr.is_k_radius_prime(7, 10**12)
+        assert kr.next_k_radius_prime(2, 10**12) is None
 
     def test_every_odd_prime_is_1_radius(self):
         for p in nt.primes(200):
@@ -123,6 +143,15 @@ class TestDensityScan:
         p = float(rep.predicted)
         stderr = math.sqrt(p * (1 - p) / rep.primes_scanned)
         assert abs(float(rep.observed) - p) < 4 * stderr
+
+    @pytest.mark.parametrize("k,hits,predicted", [(3, 8732, Fraction(1, 9)), (6, 369, Fraction(1, 216))])
+    def test_reports_to_a_million_pinned(self, k, hits, predicted):
+        # Values recorded with one `pow` per residue 1..k.
+        rep = kr.density_scan(k, 10**6)
+        assert rep == kr.DensityReport(
+            k=k, limit=10**6, primes_scanned=78498, k_radius_count=hits,
+            observed=Fraction(hits, 78498), predicted=predicted,
+        )
 
     def test_k4_zero_hits(self):
         rep = kr.density_scan(4, 50000)

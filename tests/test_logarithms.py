@@ -12,6 +12,19 @@ from radiusseq.errors import BudgetExceeded
 
 from reference_counts import KNOWN_LOG, KNOWN_SPECIAL
 
+# KM-class counts for k <= 42, recorded from the full-depth walk (every
+# prime walked to a leaf) before the top block was counted in closed form.
+# The reference tables have no KM column.
+PINNED_KM = {
+    1: 1, 2: 1, 3: 2, 4: 2, 5: 8, 6: 10, 7: 36,
+    8: 16, 9: 24, 10: 8, 11: 140, 12: 64, 13: 936, 14: 624,
+    15: 416, 16: 96, 17: 3648, 18: 2088, 19: 30240, 20: 8640, 21: 9792,
+    22: 9000, 23: 103488, 24: 10368, 25: 72960, 26: 13752, 27: 22896, 28: 5904,
+    29: 134400, 30: 71040, 31: 2671200, 32: 556800, 33: 794400, 34: 202752,
+    35: 145152, 36: 62784, 37: 3594240, 38: 2244672, 39: 1202688, 40: 102912,
+    41: 17606400, 42: 6698880,
+}
+
 
 def brute_counts(k):
     """Oracle: enumerate and classify all k**pi(k) assignments."""
@@ -184,6 +197,30 @@ class TestCount:
         for k, cls in [(15, lg.LOG), (16, lg.SPECIAL), (13, lg.KM)]:
             assert lg.count(k, cls, workers=2) == lg.count(k, cls, workers=1)
 
+    def test_worker_invariance_at_tail_edges(self):
+        # k = 3 and 4: the shard prefix is deeper than the tail start, or
+        # the tail is a singleton (3 at k = 4); k = 41 special: the tail
+        # holds the singleton 41; k = 42: the largest tail of the table.
+        cases = [(k, cls) for k in (3, 4, 42) for cls in lg.CLASSES]
+        for k, cls in cases + [(41, lg.SPECIAL)]:
+            assert lg.count(k, cls, workers=2) == lg.count(k, cls, workers=1), (k, cls)
+
+    def test_km_table_pinned(self):
+        for k in range(1, 43):
+            assert lg.count(k, lg.KM) == PINNED_KM[k], k
+
+    def test_collapsed_tail_matches_full_walk(self):
+        # Oracle: walk every prime to a leaf, check each representative and
+        # add its multiplicity, as count did before the tail was collapsed.
+        for k in range(3, 31):
+            for cls in lg.CLASSES:
+                e = lg._Engine(k, cls, enforce_f3=False)
+                full = 0
+                for _ in e._leaves(0, e.r):
+                    e._check_representative()
+                    full += e._multiplicity()
+                assert lg.count(k, cls) == full, (k, cls)
+
 
 class TestEngine:
     # The one backtracking walk behind count, search and sharding, driven
@@ -215,6 +252,20 @@ class TestEngine:
             if nt.is_prime(p):
                 f = lg.dlog_logfn(p, k)
                 assert f == kr.induced_log(p, k) == lg.log_from_safe_prime(k), k
+
+    def test_tail_is_derived_from_the_tables(self):
+        for k in range(3, 43):
+            for cls in lg.CLASSES:
+                e = lg._Engine(k, cls, enforce_f3=False)
+                top = [q for q in e.qs if 2 * q > k and q != 2]
+                assert e.qs[e.tail:] == top, (k, cls)
+        assert lg._Engine(4, lg.LOG, enforce_f3=False).tail_singles == [1]
+        special41 = lg._Engine(41, lg.SPECIAL, enforce_f3=False)
+        assert [special41.qs[j] for j in special41.tail_singles] == [41]
+        assert special41.tail_ways == 1
+        assert lg._Engine(42, lg.LOG, enforce_f3=False).tail_ways == 1
+        # f(3) forced minimal in search: 3 and the block {3, 5} stay walked
+        assert lg._Engine(5, lg.LOG, enforce_f3=True).tail == 3
 
     def test_pool_size_is_capped(self):
         cpus = os.cpu_count() or 1

@@ -121,6 +121,11 @@ class TestSubgroupCover:
             with pytest.raises(BadPrime):
                 tl.subgroup_cover(23, 3, lg.search(3))
 
+    @pytest.mark.parametrize("length", [4, 5, 8])
+    def test_rejects_logarithm_of_other_length(self, length):
+        with pytest.raises(ValueError, match="logarithm length does not match k"):
+            tl.subgroup_cover(239, 6, lg.search(length))
+
     def test_cover_property_various_primes(self):
         f = lg.search(3)
         for p in (23, 47):
