@@ -19,6 +19,20 @@ from .errors import RadiusSeqError
 STRATEGIES = ("naive", "eulerian", "two-radius", "prime", "tiling")
 
 
+class _UsageError(Exception):
+    pass
+
+
+def _check_budget(k: int, max_k: int) -> None:
+    if k > max_k:
+        raise _UsageError(f"k={k} exceeds the counting budget {max_k}")
+
+
+def _check_scan(k: int, limit: int) -> None:
+    if k < 1 or limit < 2:
+        raise _UsageError("need k >= 1 and limit >= 2")
+
+
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -65,6 +79,10 @@ def _construct(args):
     """Returns (sequence, p, tiling_report, cover_plan) for the requested
     strategy; entries a strategy does not produce are None."""
     n, k = args.n, args.k
+    if n < 1:
+        raise _UsageError("n must be >= 1")
+    if k < 1:
+        raise _UsageError("k must be >= 1")
     if args.strategy == "naive":
         return sequences.naive_sequence(n, k), None, None, None
     if args.strategy == "eulerian":
@@ -86,13 +104,11 @@ def _construct(args):
         plan = covers.prime_cover(p, k)
         return covers.sequence_from_cover(plan), p, None, plan
     if args.strategy == "tiling":
+        if n < 2:
+            raise _UsageError("n must be >= 2")
         seq, report = tilings.tiling_sequence(n, k)
         return seq, report.p, report, None
     raise _UsageError(f"unknown strategy {args.strategy!r}")
-
-
-class _UsageError(Exception):
-    pass
 
 
 def _cmd_construct(args) -> int:
@@ -171,6 +187,7 @@ def _cmd_logs_search(args) -> int:
 
 
 def _cmd_logs_count(args) -> int:
+    _check_budget(args.k, args.max_k)
     total = logarithms.count(args.k, args.cls, max_k=args.max_k, workers=args.workers)
     if args.format == "json":
         _emit_json({"k": args.k, "class": args.cls, "count": total})
@@ -189,6 +206,7 @@ def _cmd_primes_next(args) -> int:
 
 
 def _cmd_primes_scan(args) -> int:
+    _check_scan(args.k, args.limit)
     found = kradius.scan_k_radius_primes(args.k, args.limit, workers=args.workers)
     for p in found:
         print(p)
@@ -196,6 +214,8 @@ def _cmd_primes_scan(args) -> int:
 
 
 def _cmd_density(args) -> int:
+    _check_scan(args.k, args.limit)
+    _check_budget(args.k, args.max_k)
     report = kradius.density_scan(
         args.k, args.limit, workers=args.workers, max_k=args.max_k
     )

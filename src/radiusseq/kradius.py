@@ -8,7 +8,6 @@ Z_p* into (p-1)/2k multiplier blocks and hence near-optimal sequences.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -23,7 +22,7 @@ def _spf_for(k: int, bound: int) -> list[int]:
     """The smallest-prime-factor table _qualifies reads, for primes up to
     bound. A k-radius prime is at least 2k + 1, so below that no table is
     built and a huge k costs no memory."""
-    return logarithms._spf_table(k) if 2 * k < bound else []
+    return numtheory.spf_table(k) if 2 * k < bound else []
 
 
 def _qualifies(p: int, k: int, spf: list[int]) -> bool:
@@ -116,59 +115,41 @@ class DensityReport:
     predicted: Fraction
 
 
-def _scan_interval(args) -> tuple[int, int, list[int]]:
-    """Count primes and k-radius primes in [lo, hi] with a segmented sieve."""
-    k, lo, hi, collect = args
+def _scan_interval(args) -> tuple[int, list[int]]:
+    """(number of primes, ascending k-radius primes) in [lo, hi], with a
+    segmented sieve; only the primes = 1 mod 2k reach the predicate."""
+    k, lo, hi = args
     lo = max(lo, 2)
     if hi < lo:
-        return 0, 0, []
+        return 0, []
     base = numtheory.primes(math.isqrt(hi))
     size = hi - lo + 1
     flags = bytearray([1]) * size
     for q in base:
         start = max(q * q, (lo + q - 1) // q * q)
         flags[start - lo :: q] = bytearray(len(flags[start - lo :: q]))
-    n_primes = 0
-    hits = 0
-    found: list[int] = []
     step = 2 * k
     spf = _spf_for(k, hi)
-    for i in range(size):
-        if not flags[i]:
-            continue
-        p = lo + i
-        n_primes += 1
-        if p % step == 1 and _qualifies(p, k, spf):
-            hits += 1
-            if collect:
-                found.append(p)
-    return n_primes, hits, found
+    found = [
+        lo + i
+        for i in range((1 - lo) % step, size, step)
+        if flags[i] and _qualifies(lo + i, k, spf)
+    ]
+    return flags.count(1), found
 
 
 def scan_k_radius_primes(k: int, limit: int, workers: int = 1) -> list[int]:
     """All k-radius primes <= limit, ascending; shardable across workers."""
-    parts = _run_shards(k, limit, workers, collect=True)
-    out: list[int] = []
-    for _, _, found in parts:
-        out.extend(found)
-    return out
+    return [p for _, found in _run_shards(k, limit, workers) for p in found]
 
 
-def _run_shards(k: int, limit: int, workers: int, collect: bool):
+def _run_shards(k: int, limit: int, workers: int) -> list[tuple[int, list[int]]]:
+    """_scan_interval over [2, limit] cut into one interval per process."""
     if k < 1 or limit < 2:
         raise ValueError("need k >= 1 and limit >= 2")
-    workers = logarithms.pool_size(workers, limit - 1)
-    bounds = []
-    span = (limit - 1) // workers + 1
-    lo = 2
-    while lo <= limit:
-        hi = min(lo + span - 1, limit)
-        bounds.append((k, lo, hi, collect))
-        lo = hi + 1
-    if len(bounds) == 1:
-        return [_scan_interval(b) for b in bounds]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_scan_interval, bounds))
+    span = (limit - 1) // logarithms.pool_size(workers, limit - 1) + 1
+    tasks = [(k, lo, min(lo + span - 1, limit)) for lo in range(2, limit + 1, span)]
+    return logarithms.pool_map(_scan_interval, tasks, workers)
 
 
 def density_scan(
@@ -178,9 +159,9 @@ def density_scan(
     max_k: int = logarithms.DEFAULT_MAX_K,
 ) -> DensityReport:
     """Scan all primes <= limit and compare the hit rate with the prediction."""
-    parts = _run_shards(k, limit, workers, collect=False)
-    n_primes = sum(p for p, _, _ in parts)
-    hits = sum(h for _, h, _ in parts)
+    parts = _run_shards(k, limit, workers)
+    n_primes = sum(n for n, _ in parts)
+    hits = sum(len(found) for _, found in parts)
     observed = Fraction(hits, n_primes) if n_primes else Fraction(0)
     return DensityReport(
         k=k,

@@ -6,12 +6,13 @@ A logarithm is a bijective logarithmic function.
 
 One backtracking engine walks the representatives of the symmetry
 classes (value-sorted blocks of interchangeable primes, f(2) scaled onto
-a divisor of k) and has three uses: counting weights each representative
+a divisor of k) and has two uses: counting weights each representative
 by its exact class size, which reproduces the known counts for k <= 42,
-and counts the top block of primes above k/2 in closed form (they take
-the values left over in any block-increasing order) instead of walking it;
-search returns the first representative (or the first N); sharding
-collects the surviving prefixes that worker processes count apart.
+and stops before the top block of primes above k/2 (they take the values
+left over in increasing order) instead of walking it; search returns the
+first representative (or the first N). A count is
+a sum of one task per value of f(2), and `pool_map` runs those tasks,
+like the shards of a prime scan, in-process or in a process pool.
 `dlog_logfn` builds the function q -> dlog(q) mod k from a prime modulus,
 and `image_stats` runs its own walk, pruned on image size.
 """
@@ -64,16 +65,6 @@ class BlockPartition:
     blocks: tuple[tuple[int, ...], ...]
 
 
-def _spf_table(k: int) -> list[int]:
-    spf = list(range(k + 1))
-    for i in range(2, math.isqrt(k) + 1):
-        if spf[i] == i:
-            for j in range(i * i, k + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    return spf
-
-
 def eval_vector(k: int, prime_values: dict[int, int]) -> LogFn:
     """Build the LogFn induced by one value in Z_k per prime <= k."""
     qs = numtheory.primes(k)
@@ -81,7 +72,7 @@ def eval_vector(k: int, prime_values: dict[int, int]) -> LogFn:
         raise ValueError(f"need exactly one value per prime <= {k}")
     if any(not 0 <= v < k for v in prime_values.values()):
         raise ValueError("prime values must lie in [0, k)")
-    spf = _spf_table(k)
+    spf = numtheory.spf_table(k)
     vec = [0] * (k + 1)
     for m in range(2, k + 1):
         q = spf[m]
@@ -156,7 +147,7 @@ def _prime_tables(k: int, qs: list[int], targets: set[int]):
     values fixed once qs[j] is assigned; mult_items[j] holds (m, e) for
     every multiple m of qs[j]. In both, e is the exponent of qs[j] in m.
     """
-    spf = _spf_table(k)
+    spf = numtheory.spf_table(k)
     lpf = [0] * (k + 1)
     for m in range(2, k + 1):
         lpf[m] = max(lpf[m // spf[m]], spf[m])
@@ -188,6 +179,16 @@ def pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
+def pool_map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], in order, run by pool_size(workers, len(tasks))
+    processes; in this process, starting none, when that size is 1."""
+    size = pool_size(workers, len(tasks))
+    if size == 1:
+        return list(map(fn, tasks))
+    with ProcessPoolExecutor(max_workers=size) as pool:
+        return list(pool.map(fn, tasks))
+
+
 class _Engine:
     """Backtracking search over prime values with symmetry breaking.
 
@@ -195,8 +196,8 @@ class _Engine:
     the components at newly-smooth indices are checked for repeats (and
     for the parity conditions of the requested class). Within a block the
     values must increase, f(2) must divide k, and in search mode f(3) is
-    forced minimal under the scalars fixing f(2). Counting, searching and
-    sharding are loops over the one walk in `_leaves`.
+    forced minimal under the scalars fixing f(2). Counting and searching
+    are loops over the one walk in `_leaves`.
     """
 
     def __init__(self, k: int, cls: str, enforce_f3: bool):
@@ -238,13 +239,10 @@ class _Engine:
             tail += 1
         self.tail = tail
         # Singleton tail primes are enumerated so that _check_representative
-        # sees each of their values; the other tail blocks share the values
-        # left over in (sum |B|)! / prod |B|! ways.
-        grouped = [b for b in part.blocks if qidx[b[0]] >= tail and len(b) > 1]
+        # sees each of their values. Every other tail prime has k // q = 1,
+        # so they form one block and take the values left over in the one
+        # increasing order.
         self.tail_singles = [j for j in self.singleton_idx if j >= tail]
-        self.tail_ways = math.factorial(sum(map(len, grouped)))
-        for b in grouped:
-            self.tail_ways //= math.factorial(len(b))
         self.f2_candidates = [d for d in numtheory.divisors(k) if d < k]
         self.units = [a for a in range(1, k) if math.gcd(a, k) == 1]
         self._stab_cache: dict[int, list[int]] = {}
@@ -276,9 +274,6 @@ class _Engine:
             lo = self.assigned[self.pred[j]] + 1
             return [v for v in base if v >= lo]
         return list(base)
-
-    def _multiplicity(self) -> int:
-        return numtheory.euler_phi(self.k // self.assigned[0]) * self.block_fact
 
     def _check_representative(self):
         # The scalars fixing f(2) must move the singleton-prime values to
@@ -331,35 +326,26 @@ class _Engine:
     def _logfn(self) -> LogFn:
         return eval_vector(self.k, dict(zip(self.qs, self.assigned)))
 
-    def count(self, prefix: tuple[int, ...] = ()) -> int:
-        if len(prefix) > self.tail:
-            # The prefix reaches into the tail: walk every prime.
-            depth, singles, ways = self.r, [], 1
-        else:
-            depth, singles, ways = self.tail, self.tail_singles, self.tail_ways
+    def count(self, f2: int) -> int:
+        """Number of class members with f(2) = f2: each representative
+        stands for phi(k/f2) scalings times the block orderings."""
         k = self.k
         used = self.used
         assigned = self.assigned
-        weight: dict[int, int] = {}
+        singles = self.tail_singles
+        weight = numtheory.euler_phi(k // f2) * self.block_fact
         total = 0
-        for _ in self._leaves(0, depth, prefix):
-            w = weight.get(assigned[0])
-            if w is None:
-                w = weight[assigned[0]] = self._multiplicity() * ways
+        for _ in self._leaves(0, self.tail, (f2,)):
             free = [v for v in range(k) if not used[v]] if singles else ()
             for vals in permutations(free, len(singles)):
                 for j, v in zip(singles, vals):
                     assigned[j] = v
                 self._check_representative()
-                total += w
+                total += weight
         return total
 
     def search_many(self, limit: int) -> list[LogFn]:
         return [self._logfn() for _ in islice(self._leaves(0, self.r), limit)]
-
-    def prefixes(self, depth: int) -> list[tuple[int, ...]]:
-        """All surviving partial assignments of the first `depth` primes."""
-        return [tuple(self.assigned[:depth]) for _ in self._leaves(0, depth)]
 
 
 def search(k: int, cls: str = LOG) -> LogFn | None:
@@ -385,20 +371,22 @@ def search_many(k: int, cls: str = LOG, limit: int = 8) -> list[LogFn]:
 
 
 def _count_shard(args) -> int:
-    k, cls, prefix = args
-    return _Engine(k, cls, enforce_f3=False).count(prefix)
+    k, cls, f2 = args
+    return _Engine(k, cls, enforce_f3=False).count(f2)
 
 
 def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) -> int:
     """Exact number of length-k functions of the given class.
 
-    Each search representative contributes phi(k/f(2)) times the product
-    of the block-size factorials. The walk stops before the primes q > k/2
-    whose value moves index q alone: the values still unused go to them in
-    t!/prod|B|! ways (t such primes, B their blocks), and only the values
-    of singleton blocks among them are enumerated, for the representative
-    check. Counts above the budget ceiling raise BudgetExceeded; results
-    are identical for any worker count.
+    The count is a sum of one task per divisor f(2) < k, run by `pool_map`
+    on at most `workers` processes (prime k has one task and runs
+    in-process). Each search representative contributes phi(k/f(2)) times
+    the product of the block-size factorials. The walk stops before the
+    primes q > k/2 whose value moves index q alone: they share one block,
+    so the values still unused go to them in increasing order, and only
+    the values of singleton blocks among them are enumerated, for the
+    representative check. Counts above the budget ceiling raise
+    BudgetExceeded; results are identical for any worker count.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
@@ -408,16 +396,8 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
         raise ValueError("k must be >= 1")
     if k <= 2:
         return 1
-    engine = _Engine(k, cls, enforce_f3=False)
-    if workers <= 1:
-        return engine.count()
-    depth = 1 if numtheory.prime_count(k) == 1 else 2
-    tasks = engine.prefixes(depth)
-    size = pool_size(workers, len(tasks))
-    if size == 1:
-        return engine.count()
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return sum(pool.map(_count_shard, [(k, cls, t) for t in tasks]))
+    tasks = [(k, cls, f2) for f2 in numtheory.divisors(k)[:-1]]
+    return sum(pool_map(_count_shard, tasks, workers))
 
 
 def dlog_logfn(p: int, k: int) -> LogFn:

@@ -60,6 +60,18 @@ def primes(limit: int) -> list[int]:
     return [i for i in range(2, limit + 1) if flags[i]]
 
 
+def spf_table(k: int) -> list[int]:
+    """spf[m] = smallest prime factor of m for 2 <= m <= k (spf[0] = 0,
+    spf[1] = 1)."""
+    spf = list(range(k + 1))
+    for i in range(2, math.isqrt(k) + 1):
+        if spf[i] == i:
+            for j in range(i * i, k + 1, i):
+                if spf[j] == j:
+                    spf[j] = i
+    return spf
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as (prime, exponent) pairs, ascending."""
     if n < 1:
@@ -99,17 +111,6 @@ def prime_count(n: int) -> int:
     if n < 2:
         return 0
     return sum(sieve(n))
-
-
-def arithmetic_functions(n: int) -> tuple[int, int, int]:
-    """Return (phi(n), omega(n), pi(n)) for n >= 1."""
-    if n < 1:
-        raise ValueError("arithmetic_functions requires n >= 1")
-    fac = factorize(n)
-    phi = n
-    for p, _ in fac:
-        phi -= phi // p
-    return phi, len(fac), prime_count(n)
 
 
 def multiplicative_order(a: int, n: int) -> int:
@@ -178,17 +179,6 @@ def discrete_log(base: int, target: int, p: int) -> int:
             return (i * m + j) % d
         y = y * giant % p
     raise NoSolution(f"{target} is not a power of {base} mod {p}")
-
-
-def smooth_numbers(limit: int, bound: int) -> list[int]:
-    """All m in [1, limit] whose prime factors are all <= bound, ascending."""
-    if limit < 1 or bound < 1:
-        raise ValueError("limit and bound must be >= 1")
-    smooth = bytearray([1]) * (limit + 1)
-    for q in primes(limit):
-        if q > bound:
-            smooth[q::q] = bytearray(len(smooth[q::q]))
-    return [m for m in range(1, limit + 1) if smooth[m]]
 
 
 @dataclass(frozen=True)

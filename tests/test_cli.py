@@ -220,6 +220,40 @@ class TestTilingCheck:
         assert obj["bijective"] and obj["r"] == 3
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("construct", "--n", "1", "--k", "6", "--strategy", "tiling"),
+             "n must be >= 2"),
+            (("construct", "--n", "10", "--k", "0", "--strategy", "prime"),
+             "k must be >= 1"),
+            (("construct", "--n", "0", "--k", "2", "--strategy", "naive"),
+             "n must be >= 1"),
+            (("primes", "scan", "--k", "0", "--limit", "100"),
+             "need k >= 1 and limit >= 2"),
+            (("primes", "scan", "--k", "3", "--limit", "1"),
+             "need k >= 1 and limit >= 2"),
+            (("logs", "count", "--k", "43"),
+             "k=43 exceeds the counting budget 42"),
+            (("density", "--k", "50"),
+             "k=50 exceeds the counting budget 42"),
+            (("density", "--k", "0", "--limit", "100"),
+             "need k >= 1 and limit >= 2"),
+        ],
+        ids=["tiling-n1", "construct-k0", "construct-n0", "scan-k0",
+             "scan-limit1", "count-k43", "density-k50", "density-k0"],
+    )
+    def test_exit_two_with_one_error_line(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_raised_budget_is_accepted(self, capsys):
+        code, out, _ = run_cli(capsys, "logs", "count", "--k", "3", "--max-k", "3")
+        assert code == 0 and out == "2\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         args = ("construct", "--n", "20", "--k", "2", "--strategy", "tiling",

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
@@ -168,6 +170,22 @@ class TestDensityScan:
         assert all(kr.is_k_radius_prime(p, 3) for p in found)
         assert len(found) == kr.density_scan(3, 2000).k_radius_count
         assert kr.scan_k_radius_primes(3, 2000, workers=2) == found
+
+
+class TestScanInterval:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(-5, 3000),
+        st.integers(-5, 3000),
+    )
+    def test_against_brute_force(self, k, lo, hi):
+        # Draws empty intervals (lo > hi), intervals reaching below 2 and
+        # every start residue mod 2k, i.e. every kind of shard edge.
+        n_primes, found = kr._scan_interval((k, lo, hi))
+        primes = [p for p in range(max(lo, 2), hi + 1) if nt.is_prime(p)]
+        assert n_primes == len(primes)
+        assert found == [p for p in primes if kr.is_k_radius_prime(p, k)]
 
 
 class TestCsv:

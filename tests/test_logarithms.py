@@ -198,9 +198,9 @@ class TestCount:
             assert lg.count(k, cls, workers=2) == lg.count(k, cls, workers=1)
 
     def test_worker_invariance_at_tail_edges(self):
-        # k = 3 and 4: the shard prefix is deeper than the tail start, or
-        # the tail is a singleton (3 at k = 4); k = 41 special: the tail
-        # holds the singleton 41; k = 42: the largest tail of the table.
+        # k = 3: the tail starts right after f(2); k = 4: the tail is a
+        # singleton (3); k = 41 special: the tail holds the singleton 41;
+        # k = 42: the largest tail of the table.
         cases = [(k, cls) for k in (3, 4, 42) for cls in lg.CLASSES]
         for k, cls in cases + [(41, lg.SPECIAL)]:
             assert lg.count(k, cls, workers=2) == lg.count(k, cls, workers=1), (k, cls)
@@ -211,29 +211,29 @@ class TestCount:
 
     def test_collapsed_tail_matches_full_walk(self):
         # Oracle: walk every prime to a leaf, check each representative and
-        # add its multiplicity, as count did before the tail was collapsed.
+        # add its multiplicity phi(k/f(2)) * prod |B|!, as count did before
+        # the tail was collapsed.
         for k in range(3, 31):
             for cls in lg.CLASSES:
                 e = lg._Engine(k, cls, enforce_f3=False)
                 full = 0
                 for _ in e._leaves(0, e.r):
                     e._check_representative()
-                    full += e._multiplicity()
+                    full += nt.euler_phi(k // e.assigned[0]) * e.block_fact
                 assert lg.count(k, cls) == full, (k, cls)
 
 
 class TestEngine:
-    # The one backtracking walk behind count, search and sharding, driven
+    # The one backtracking walk behind count and search, driven
     # in-process: no test here starts a worker.
     def test_shard_prefixes_sum_to_count(self):
+        # One shard per prefix (f(2),), f(2) a divisor of k below k; each
+        # engine restores its state, so one engine can count every shard.
         for k in range(3, 31):
             for cls in lg.CLASSES:
                 engine = lg._Engine(k, cls, enforce_f3=False)
-                for depth in range(1, min(engine.r, 2) + 1):
-                    shards = lg._Engine(k, cls, enforce_f3=False).prefixes(depth)
-                    assert sum(engine.count(t) for t in shards) == lg.count(k, cls), (
-                        k, cls, depth,
-                    )
+                shards = [engine.count(f2) for f2 in nt.divisors(k)[:-1]]
+                assert sum(shards) == lg.count(k, cls), (k, cls)
 
     def test_search_many_is_an_increasing_prefix(self):
         for k in range(3, 43):
@@ -254,18 +254,39 @@ class TestEngine:
                 assert f == kr.induced_log(p, k) == lg.log_from_safe_prime(k), k
 
     def test_tail_is_derived_from_the_tables(self):
+        # The tail primes outside the singletons lie in one block, so count
+        # gives them the one increasing order and no ordering factor.
         for k in range(3, 43):
             for cls in lg.CLASSES:
                 e = lg._Engine(k, cls, enforce_f3=False)
                 top = [q for q in e.qs if 2 * q > k and q != 2]
                 assert e.qs[e.tail:] == top, (k, cls)
+                rest = set(top) - {e.qs[j] for j in e.tail_singles}
+                grouped = [b for b in lg.blocks(k, cls).blocks if rest & set(b)]
+                assert len(grouped) <= 1, (k, cls)
         assert lg._Engine(4, lg.LOG, enforce_f3=False).tail_singles == [1]
         special41 = lg._Engine(41, lg.SPECIAL, enforce_f3=False)
         assert [special41.qs[j] for j in special41.tail_singles] == [41]
-        assert special41.tail_ways == 1
-        assert lg._Engine(42, lg.LOG, enforce_f3=False).tail_ways == 1
         # f(3) forced minimal in search: 3 and the block {3, 5} stay walked
         assert lg._Engine(5, lg.LOG, enforce_f3=True).tail == 3
+
+    def test_pool_map_keeps_task_order(self):
+        assert lg.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
+        assert lg.pool_map(abs, [], 2) == []
+
+    def test_single_task_starts_no_pool(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(lg, "ProcessPoolExecutor", no_pool)
+        # prime k: f(2) = 1 is the only task, so 2 workers run in-process
+        assert lg.count(41, lg.LOG, workers=2) == lg.count(41, lg.LOG)
+        assert kr.scan_k_radius_primes(3, 3000, workers=1)
+        assert kr.density_scan(3, 3000).k_radius_count > 0
+        if (os.cpu_count() or 1) >= 2:
+            # control: a count with several tasks does reach the pool
+            with pytest.raises(AssertionError, match="process pool"):
+                lg.count(42, lg.LOG, workers=2)
 
     def test_pool_size_is_capped(self):
         cpus = os.cpu_count() or 1

@@ -41,21 +41,23 @@ class TestIsPrime:
         assert not nt.is_prime((2**31 - 1) * (2**31 + 11))
 
 
-class TestArithmeticFunctions:
-    @pytest.mark.parametrize(
-        "n,expected", [(10, (4, 2, 4)), (1, (1, 0, 0)), (12, (4, 2, 5))]
-    )
-    def test_examples(self, n, expected):
-        assert nt.arithmetic_functions(n) == expected
-
+class TestEulerPhiAndPrimeCount:
     def test_phi_against_gcd_count(self):
         for n in range(1, 300):
-            assert nt.arithmetic_functions(n)[0] == phi_by_count(n), n
+            assert nt.euler_phi(n) == phi_by_count(n), n
 
-    def test_omega_and_pi(self):
-        phi, omega, pi_n = nt.arithmetic_functions(360)
-        assert omega == 3
-        assert pi_n == len([p for p in range(2, 361) if trial_division_prime(p)])
+    def test_prime_count_against_trial_division(self):
+        for n in (0, 1, 2, 10, 360):
+            want = len([p for p in range(2, n + 1) if trial_division_prime(p)])
+            assert nt.prime_count(n) == want, n
+
+
+class TestSpfTable:
+    def test_against_factorization(self):
+        spf = nt.spf_table(500)
+        assert spf[:2] == [0, 1]
+        for m in range(2, 501):
+            assert spf[m] == nt.factorize(m)[0][0], m
 
 
 class TestMultiplicativeOrder:
@@ -149,21 +151,6 @@ class TestDiscreteLog:
     def test_no_solution_outside_subgroup(self):
         with pytest.raises(NoSolution):
             nt.discrete_log(2, 3, 31)  # 3 is not in <2> mod 31
-
-
-class TestSmoothNumbers:
-    @pytest.mark.parametrize(
-        "limit,bound,expected",
-        [(10, 2, [1, 2, 4, 8]), (10, 3, [1, 2, 3, 4, 6, 8, 9]), (25, 1, [1])],
-    )
-    def test_examples(self, limit, bound, expected):
-        assert nt.smooth_numbers(limit, bound) == expected
-
-    def test_against_factorization(self):
-        got = set(nt.smooth_numbers(500, 7))
-        for m in range(1, 501):
-            largest = max((p for p, _ in nt.factorize(m)), default=1)
-            assert (m in got) == (largest <= 7), m
 
 
 def subgroup_order_in_zm(exps, m):
