@@ -23,6 +23,11 @@ class _UsageError(Exception):
     pass
 
 
+def _check_positive(name: str, value: int) -> None:
+    if value < 1:
+        raise _UsageError(f"{name} must be >= 1")
+
+
 def _check_budget(k: int, max_k: int) -> None:
     if k > max_k:
         raise _UsageError(f"k={k} exceeds the counting budget {max_k}")
@@ -79,10 +84,8 @@ def _construct(args):
     """Returns (sequence, p, tiling_report, cover_plan) for the requested
     strategy; entries a strategy does not produce are None."""
     n, k = args.n, args.k
-    if n < 1:
-        raise _UsageError("n must be >= 1")
-    if k < 1:
-        raise _UsageError("k must be >= 1")
+    _check_positive("n", n)
+    _check_positive("k", k)
     if args.strategy == "naive":
         return sequences.naive_sequence(n, k), None, None, None
     if args.strategy == "eulerian":
@@ -117,7 +120,9 @@ def _cmd_construct(args) -> int:
         print(f"no {args.k}-radius prime found at or above {args.n}", file=sys.stderr)
         return 1
     if args.shrink and p is not None and p > args.n:
-        seq = sequences.shrink_alphabet(seq, p - args.n)
+        # a splice of a checked cover needs no verify of its own; the one
+        # below checks the shrunk sequence, which is what gets printed
+        seq = sequences._drop_frequent(seq, p - args.n)
     ok, _ = sequences.verify(seq)
     if not ok:
         print("constructed sequence failed verification", file=sys.stderr)
@@ -163,6 +168,7 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_logs_search(args) -> int:
+    _check_positive("k", args.k)
     f = logarithms.search(args.k, args.cls)
     if f is None:
         if args.format == "json":
@@ -187,6 +193,8 @@ def _cmd_logs_search(args) -> int:
 
 
 def _cmd_logs_count(args) -> int:
+    _check_positive("k", args.k)
+    _check_positive("workers", args.workers)
     _check_budget(args.k, args.max_k)
     total = logarithms.count(args.k, args.cls, max_k=args.max_k, workers=args.workers)
     if args.format == "json":
@@ -197,6 +205,7 @@ def _cmd_logs_count(args) -> int:
 
 
 def _cmd_primes_next(args) -> int:
+    _check_positive("k", args.k)
     p = kradius.next_k_radius_prime(args.start, args.k, horizon=args.horizon)
     if p is None:
         print(f"no {args.k}-radius prime in [{args.start}, {args.horizon}]")
@@ -207,6 +216,7 @@ def _cmd_primes_next(args) -> int:
 
 def _cmd_primes_scan(args) -> int:
     _check_scan(args.k, args.limit)
+    _check_positive("workers", args.workers)
     found = kradius.scan_k_radius_primes(args.k, args.limit, workers=args.workers)
     for p in found:
         print(p)
@@ -215,6 +225,7 @@ def _cmd_primes_scan(args) -> int:
 
 def _cmd_density(args) -> int:
     _check_scan(args.k, args.limit)
+    _check_positive("workers", args.workers)
     _check_budget(args.k, args.max_k)
     report = kradius.density_scan(
         args.k, args.limit, workers=args.workers, max_k=args.max_k

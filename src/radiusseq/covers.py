@@ -9,6 +9,8 @@ splicing one progression segment per multiplier.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import mod
 
 from . import kradius, numtheory
 from .errors import CoverIncomplete, NotKRadiusPrime
@@ -71,24 +73,28 @@ def verify_cover(plan: CoverPlan) -> tuple[bool, set[int]]:
 def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     """Splice one progression segment per multiplier into a k-radius sequence.
 
-    Segment i consists of p+k consecutive terms of the step-d_i progression
-    0, d_i, 2*d_i, ...; the phase of each later segment is chosen so its
-    first term repeats the previous segment's last term, and the repeat is
-    merged away. The result has length exactly |D|(p+k-1)+1.
+    Segment i is the p+k terms (a_i+j)*d_i mod p, j = 0..p+k-1, of the
+    step-d_i progression, with its phase in closed form: a_i =
+    start*d_i^-1 mod p makes its first term the junction value start (0
+    for the first segment), and the next junction is (a_i+p+k-1)*d_i mod p.
+    Every later segment starts one step on, which merges the repeated
+    junction away. The segments stay ranges of unreduced terms, and one
+    ``map(mod, ...)`` over their chain builds the symbol tuple, so no
+    Python code runs per symbol. The result has length exactly
+    |D|(p+k-1)+1.
     """
     ok, _ = verify_cover(plan)
     if not ok:
         raise CoverIncomplete(f"plan for p={plan.p}, k={plan.k} does not cover Z_p*")
     p, k = plan.p, plan.k
-    symbols: list[int] = []
-    start = 0
-    for idx, d in enumerate(plan.multipliers):
-        # Solve start == a*d mod p so the segment begins at the junction value.
+    segments = []
+    start = lo = 0
+    for d in plan.multipliers:
         a = start * pow(d, -1, p) % p
-        segment = [(a + j) * d % p for j in range(p + k)]
-        symbols.extend(segment[1:] if idx > 0 else segment)
-        start = segment[-1]
-    seq = RadiusSequence(p, k, tuple(symbols))
+        segments.append(range((a + lo) * d, (a + p + k) * d, d))
+        start = (a + p + k - 1) * d % p
+        lo = 1
+    seq = RadiusSequence(p, k, tuple(map(mod, chain.from_iterable(segments), repeat(p))))
     if len(seq) != len(plan.multipliers) * (p + k - 1) + 1:
         raise AssertionError("constructed length deviates from |D|(p+k-1)+1")
     return seq

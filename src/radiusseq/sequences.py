@@ -144,6 +144,11 @@ def shrink_alphabet(seq: RadiusSequence, x: int) -> RadiusSequence:
     ok, _ = verify(seq)
     if not ok:
         raise NotVerified("input sequence fails the k-radius check")
+    return _drop_frequent(seq, x)
+
+
+def _drop_frequent(seq: RadiusSequence, x: int) -> RadiusSequence:
+    """shrink_alphabet without its checks, for an input known to verify."""
     freq = [0] * seq.n
     for s in seq.symbols:
         freq[s] += 1
@@ -196,7 +201,7 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
             saw_content = True
             continue
         saw_content = True
-        symbols.extend(int(tok) for tok in line.split())
+        symbols.extend(map(int, line.split()))
     n = n if n is not None else header_n
     k = k if k is not None else header_k
     if n is None or k is None:

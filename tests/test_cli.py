@@ -62,6 +62,32 @@ class TestConstruct:
         assert seq.n == 6
         assert sq.verify(seq)[0]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--n", "1440", "--k", "3", "--strategy", "prime", "--shrink"),
+            ("--n", "20", "--k", "2", "--strategy", "two-radius", "--shrink"),
+            ("--n", "7", "--k", "3", "--strategy", "prime"),
+            ("--n", "20", "--k", "2", "--strategy", "tiling"),
+        ],
+        ids=["prime-shrink", "two-radius-shrink", "prime", "tiling"],
+    )
+    def test_verifies_once(self, capsys, monkeypatch, argv):
+        calls = []
+        verify = sq.verify
+
+        def counted(seq):
+            calls.append(seq.n)
+            return verify(seq)
+
+        monkeypatch.setattr(sq, "verify", counted)
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        seq = sq.parse_sequence(out)
+        assert calls == [seq.n]
+        if "--shrink" in argv:
+            assert seq.n == int(argv[1])
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--n", "5", "--k", "2",
                                "--strategy", "prime", "--format", "json")
@@ -162,7 +188,7 @@ class TestLogs:
     @pytest.mark.parametrize("k", ["0", "-3"])
     def test_count_rejects_nonpositive_length(self, capsys, k):
         code, out, err = run_cli(capsys, "logs", "count", "--k", k)
-        assert code == 1 and out == ""
+        assert code == 2 and out == ""
         assert err == "error: k must be >= 1\n"
 
     def test_search_output_parses(self, capsys):
@@ -240,9 +266,20 @@ class TestUsageErrors:
              "k=50 exceeds the counting budget 42"),
             (("density", "--k", "0", "--limit", "100"),
              "need k >= 1 and limit >= 2"),
+            (("logs", "count", "--k", "0"), "k must be >= 1"),
+            (("logs", "search", "--k", "0"), "k must be >= 1"),
+            (("primes", "next", "--k", "0"), "k must be >= 1"),
+            (("logs", "count", "--k", "5", "--workers", "-1"),
+             "workers must be >= 1"),
+            (("primes", "scan", "--k", "3", "--limit", "100", "--workers", "-2"),
+             "workers must be >= 1"),
+            (("density", "--k", "3", "--limit", "100", "--workers", "0"),
+             "workers must be >= 1"),
         ],
         ids=["tiling-n1", "construct-k0", "construct-n0", "scan-k0",
-             "scan-limit1", "count-k43", "density-k50", "density-k0"],
+             "scan-limit1", "count-k43", "density-k50", "density-k0",
+             "count-k0", "search-k0", "next-k0", "count-workers-neg",
+             "scan-workers-neg", "density-workers0"],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -2,8 +2,11 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiusseq import covers as cv
+from radiusseq import kradius as kr
 from radiusseq import numtheory as nt
 from radiusseq import sequences as sq
 from radiusseq.errors import CoverIncomplete, NotKRadiusPrime
@@ -52,7 +55,72 @@ class TestVerifyCover:
             cv.CoverPlan(7, 2, (1, 1))  # duplicates
 
 
+def splice_oracle(plan):
+    """Per-symbol splice: each segment is materialised term by term."""
+    p, k = plan.p, plan.k
+    symbols = []
+    start = 0
+    for idx, d in enumerate(plan.multipliers):
+        a = start * pow(d, -1, p) % p
+        segment = [(a + j) * d % p for j in range(p + k)]
+        symbols.extend(segment[1:] if idx > 0 else segment)
+        start = segment[-1]
+    return tuple(symbols)
+
+
+SMALL_PRIMES = [p for p in nt.primes(400) if p >= 5]
+SMALL_PRIME_COVERS = [
+    (p, k)
+    for p in SMALL_PRIMES
+    for k in range(1, (p - 1) // 2 + 1)
+    if (p - 1) % (2 * k) == 0 and kr.is_k_radius_prime(p, k)
+]
+
+
+@st.composite
+def shuffled_covers(draw):
+    """A shuffled prime cover, two-radius cover, or superset of a cover."""
+    kind = draw(st.sampled_from(["prime", "two-radius", "superset"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if kind == "prime":
+        p, k = draw(st.sampled_from(SMALL_PRIME_COVERS))
+        mult = list(cv.prime_cover(p, k).multipliers)
+    elif kind == "two-radius":
+        p, k = draw(st.sampled_from(SMALL_PRIMES)), 2
+        mult = list(cv.two_radius_cover(p).multipliers)
+    else:
+        p = draw(st.sampled_from(SMALL_PRIMES))
+        k = draw(st.integers(1, (p - 1) // 2))
+        # a greedy cover over a random order of Z_p*, then random extras
+        pool = list(range(1, p))
+        rng.shuffle(pool)
+        mult, covered = [], set()
+        for d in pool:
+            block = cv.block_B(d, k, p)
+            if not block <= covered:
+                mult.append(d)
+                covered |= block
+        rest = sorted(set(pool) - set(mult))
+        mult += rng.sample(rest, rng.randint(0, min(len(rest), len(mult))))
+    rng.shuffle(mult)
+    return cv.CoverPlan(p, k, tuple(mult))
+
+
 class TestSequenceFromCover:
+    @given(shuffled_covers())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_per_symbol_oracle(self, plan):
+        seq = cv.sequence_from_cover(plan)
+        assert seq.symbols == splice_oracle(plan)
+        assert len(seq) == len(plan.multipliers) * (plan.p + plan.k - 1) + 1
+        assert sq.verify(seq)[0]
+
+    def test_pinned_symbols_p3181_k5(self):
+        seq = cv.sequence_from_cover(cv.prime_cover(3181, 5))
+        digest = hashlib.sha256(",".join(map(str, seq.symbols)).encode()).hexdigest()
+        assert len(seq) == 1012831
+        assert digest == "b11ac1615162629f00f2b39c7b9a0512b5ee7816bbee1f1d09c026c36295a626"
+
     def test_flagship_value(self):
         seq = cv.sequence_from_cover(cv.CoverPlan(5, 2, (1,)))
         assert len(seq) == 7

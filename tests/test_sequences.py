@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from radiusseq import covers as cv
 from radiusseq import sequences as sq
 from radiusseq.errors import AlphabetViolation, NotVerified
 
@@ -201,6 +202,26 @@ class TestShrinkAlphabet:
             assert sq.verify(out)[0]
             assert len(out) <= len(base) - math.ceil(x * len(base) / n)
 
+    @given(
+        st.one_of(
+            st.builds(sq.naive_sequence, st.integers(2, 12), st.integers(1, 4)),
+            st.builds(sq.one_radius_optimal, st.integers(2, 20)),
+            st.builds(lambda p: cv.sequence_from_cover(cv.two_radius_cover(p)),
+                      st.sampled_from([5, 7, 11, 13, 17, 19, 23, 29, 31])),
+            st.builds(lambda pk: cv.sequence_from_cover(cv.prime_cover(*pk)),
+                      st.sampled_from([(5, 2), (7, 3), (13, 2), (29, 2), (37, 3),
+                                       (61, 2), (11, 5), (13, 6)])),
+        ),
+        st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_postcondition(self, seq, data):
+        x = data.draw(st.integers(1, seq.n - 1))
+        out = sq.shrink_alphabet(seq, x)
+        assert out.n == seq.n - x and out.k == seq.k
+        assert sq.verify(out)[0]
+        assert len(out) <= len(seq) - math.ceil(x * len(seq) / seq.n)
+
     def test_rejects_unverified_input(self):
         with pytest.raises(NotVerified):
             sq.shrink_alphabet(sq.RadiusSequence(4, 1, (0, 1, 2, 3)), 1)
@@ -231,6 +252,10 @@ class TestSequenceFormat:
     def test_header_token_without_equals(self):
         with pytest.raises(ValueError, match="has a token 'k' without '='"):
             sq.parse_sequence("n=5 k\n0 1 2 3 4\n")
+
+    def test_bad_symbol_names_the_token(self):
+        with pytest.raises(ValueError, match=r"invalid literal for int\(\) with base 10: 'x'"):
+            sq.parse_sequence("n=3 k=1\n0 1\n2 x 1\n")
 
     def test_comments_ignored(self):
         text = "# comment\n# another\nn=2 k=1\n0 1\n"
