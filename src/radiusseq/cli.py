@@ -58,6 +58,9 @@ def _emit_json(obj) -> None:
 
 
 def _cmd_verify(args) -> int:
+    for name, value in (("n", args.n), ("k", args.k)):
+        if value is not None:
+            _check_positive(name, value)
     seq = sequences.parse_sequence(_read_text(args.input), n=args.n, k=args.k)
     ok, missing = sequences.verify(seq)
     if args.format == "json":
@@ -256,6 +259,7 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_tiling_check(args) -> int:
+    _check_positive("k", args.k)
     f = logarithms.search(args.k)
     if f is None:
         print(f"no logarithm of length {args.k}")

@@ -140,13 +140,14 @@ def _scan_interval(args) -> tuple[int, list[int]]:
 
 def scan_k_radius_primes(k: int, limit: int, workers: int = 1) -> list[int]:
     """All k-radius primes <= limit, ascending; shardable across workers."""
+    if k < 1 or limit < 2:
+        raise ValueError("need k >= 1 and limit >= 2")
     return [p for _, found in _run_shards(k, limit, workers) for p in found]
 
 
 def _run_shards(k: int, limit: int, workers: int) -> list[tuple[int, list[int]]]:
-    """_scan_interval over [2, limit] cut into one interval per process."""
-    if k < 1 or limit < 2:
-        raise ValueError("need k >= 1 and limit >= 2")
+    """_scan_interval over [2, limit] cut into one interval per process;
+    the caller has checked k >= 1 and limit >= 2."""
     span = (limit - 1) // logarithms.pool_size(workers, limit - 1) + 1
     tasks = [(k, lo, min(lo + span - 1, limit)) for lo in range(2, limit + 1, span)]
     return logarithms.pool_map(_scan_interval, tasks, workers)
@@ -158,7 +159,11 @@ def density_scan(
     workers: int = 1,
     max_k: int = logarithms.DEFAULT_MAX_K,
 ) -> DensityReport:
-    """Scan all primes <= limit and compare the hit rate with the prediction."""
+    """Scan all primes <= limit and compare the hit rate with the prediction;
+    the arguments and the counting budget are checked before any sieving."""
+    if k < 1 or limit < 2:
+        raise ValueError("need k >= 1 and limit >= 2")
+    predicted = predicted_density(k, max_k=max_k)
     parts = _run_shards(k, limit, workers)
     n_primes = sum(n for n, _ in parts)
     hits = sum(len(found) for _, found in parts)
@@ -169,7 +174,7 @@ def density_scan(
         primes_scanned=n_primes,
         k_radius_count=hits,
         observed=observed,
-        predicted=predicted_density(k, max_k=max_k),
+        predicted=predicted,
     )
 
 

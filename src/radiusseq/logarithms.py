@@ -14,7 +14,7 @@ first representative (or the first N). A count is
 a sum of one task per value of f(2), and `pool_map` runs those tasks,
 like the shards of a prime scan, in-process or in a process pool.
 `dlog_logfn` builds the function q -> dlog(q) mod k from a prime modulus,
-and `image_stats` runs its own walk, pruned on image size.
+and `image_stats` answers from `search`: a logarithm has the largest image.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 
 from . import numtheory
-from .errors import BudgetExceeded, CountingError
+from .errors import BudgetExceeded, CountingError, NotBijective
 from .sequences import parse_fields
 
 LOG = "log"
@@ -423,72 +423,16 @@ def log_from_safe_prime(k: int) -> LogFn | None:
     return None
 
 
-def image_stats(k: int, max_k: int = DEFAULT_IMAGE_MAX_K) -> tuple[int, int]:
-    """Exact (M_k, R_k) by exhausting all k**pi(k) functions with pruning.
-
-    M_k is the largest image size of any logarithmic function of length
-    k; R_k is the largest y such that some logarithmic function is
-    injective on the y-smooth part of {1..k}.
-    """
-    if k > max_k:
-        raise BudgetExceeded(f"k={k} exceeds the image-statistics budget {max_k}")
-    if k == 1:
-        return 1, 1
-    qs = numtheory.primes(k)
-    r = len(qs)
-    new_items, mult_items = _prime_tables(k, qs, set())
-    partial = [0] * (k + 1)
-    cnt = [0] * k
-    cnt[0] = 1
-    state = {"M": 1, "depth": 0, "distinct": 1, "determined": 1}
-
-    def dfs(j: int, injective: bool) -> bool:
-        if injective and j > state["depth"]:
-            state["depth"] = j
-        if j == r:
-            if state["distinct"] > state["M"]:
-                state["M"] = state["distinct"]
-            return state["M"] == k and state["depth"] == r
-        new = new_items[j]
-        mult = mult_items[j]
-        for v in range(k):
-            vals = [(partial[m] + e * v) % k for m, e, _ in new]
-            gained = 0
-            inj = injective
-            for val in vals:
-                if cnt[val]:
-                    inj = False
-                else:
-                    gained += 1
-                cnt[val] += 1
-            if len(set(vals)) != len(vals):
-                inj = False
-            bound = state["distinct"] + gained + (k - state["determined"] - len(vals))
-            promising_m = bound > state["M"]
-            promising_r = inj and state["depth"] < r
-            if promising_m or promising_r:
-                state["distinct"] += gained
-                state["determined"] += len(vals)
-                for m, e in mult:
-                    partial[m] = (partial[m] + e * v) % k
-                done = dfs(j + 1, inj)
-                for m, e in mult:
-                    partial[m] = (partial[m] - e * v) % k
-                state["distinct"] -= gained
-                state["determined"] -= len(vals)
-                if done:
-                    for val in vals:
-                        cnt[val] -= 1
-                    return True
-            for val in vals:
-                cnt[val] -= 1
-        return False
-
-    dfs(0, True)
-    m_k = state["M"]
-    depth = state["depth"]
-    r_k = k if depth == r else qs[depth] - 1
-    return m_k, r_k
+def image_stats(k: int) -> tuple[int, int]:
+    """Exact (M_k, R_k): the largest image size of a logarithmic function of
+    length k, and the largest y such that one is injective on the y-smooth
+    part of {1..k}. Both are at most k, and a logarithm, injective on all of
+    {1..k}, reaches k in both, so one found by `search` makes (k, k) exact."""
+    if k > DEFAULT_IMAGE_MAX_K:
+        raise BudgetExceeded(f"k={k} exceeds the image-statistics budget {DEFAULT_IMAGE_MAX_K}")
+    if search(k) is None:
+        raise NotBijective(f"no logarithm of length {k} exists")
+    return k, k
 
 
 def format_logfn(f: LogFn) -> str:

@@ -20,6 +20,8 @@ from .covers import CoverPlan, block_A, coset_minima, sequence_from_cover
 from .errors import BadPrime, NotBijective
 from .sequences import RadiusSequence
 
+CANDIDATES = 8
+
 
 @dataclass(frozen=True)
 class Cluster:
@@ -213,7 +215,7 @@ class TilingReport:
 
 
 def tiling_sequence(
-    n: int, k: int, f: logarithms.LogFn | None = None, candidates: int = 8
+    n: int, k: int, f: logarithms.LogFn | None = None
 ) -> tuple[RadiusSequence, TilingReport]:
     """Full pipeline: admissible prime, subgroup cover, coset assembly.
 
@@ -221,7 +223,7 @@ def tiling_sequence(
     with measurements; the ratio compares the length against C(n,2)/k.
     The sequence is not verified here: the CLI `construct` path runs
     `sequences.verify` on it. When no logarithm is supplied, the first
-    `candidates` search representatives are compared by measured
+    CANDIDATES search representatives are compared by measured
     translate count (then cover size) and the best one is used; the count
     depends only on the tiling lattice, so scalar-equivalent logarithms
     measure alike.
@@ -234,7 +236,7 @@ def tiling_sequence(
     region = _subgroup_region(p, k)
     if f is None:
         best = None
-        for g in logarithms.search_many(k, limit=candidates):
+        for g in logarithms.search_many(k, limit=CANDIDATES):
             multipliers, w = _region_cover(p, k, region, g)
             if best is None or (w, len(multipliers)) < best[:2]:
                 best = (w, len(multipliers), multipliers)

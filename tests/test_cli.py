@@ -275,11 +275,15 @@ class TestUsageErrors:
              "workers must be >= 1"),
             (("density", "--k", "3", "--limit", "100", "--workers", "0"),
              "workers must be >= 1"),
+            (("tiling", "check", "--k", "0"), "k must be >= 1"),
+            (("verify", "--input", "-", "--n", "0"), "n must be >= 1"),
+            (("verify", "--input", "-", "--k", "0"), "k must be >= 1"),
         ],
         ids=["tiling-n1", "construct-k0", "construct-n0", "scan-k0",
              "scan-limit1", "count-k43", "density-k50", "density-k0",
              "count-k0", "search-k0", "next-k0", "count-workers-neg",
-             "scan-workers-neg", "density-workers0"],
+             "scan-workers-neg", "density-workers0", "tiling-k0", "verify-n0",
+             "verify-k0"],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
 from radiusseq import numtheory as nt
-from radiusseq.errors import NotKRadiusPrime
+from radiusseq.errors import BudgetExceeded, NotKRadiusPrime
 
 
 def pow_is_k_radius(p, k):
@@ -163,6 +163,16 @@ class TestDensityScan:
         one = kr.density_scan(3, 30000, workers=1)
         two = kr.density_scan(3, 30000, workers=2)
         assert one == two
+
+    def test_arguments_and_budget_checked_before_the_scan(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the sieve ran")
+
+        monkeypatch.setattr(kr, "_run_shards", no_scan)
+        with pytest.raises(BudgetExceeded, match="k=50 exceeds the counting budget 42"):
+            kr.density_scan(50, 10**6)
+        with pytest.raises(ValueError, match="need k >= 1 and limit >= 2"):
+            kr.density_scan(0, 100)
 
     def test_scan_listing_matches_counts(self):
         found = kr.scan_k_radius_primes(3, 2000)

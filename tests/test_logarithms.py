@@ -27,14 +27,26 @@ PINNED_KM = {
 
 
 def brute_counts(k):
-    """Oracle: enumerate and classify all k**pi(k) assignments."""
+    """Oracle: enumerate and classify all k**pi(k) assignments.
+
+    The same pass records M_k, the largest image size, and R_k, the largest
+    y such that some assignment is injective on the y-smooth m <= k.
+    """
     qs = nt.primes(k)
-    counts = {lg.LOG: 0, lg.KM: 0, lg.SPECIAL: 0}
+    top = [max((q for q, _ in nt.factorize(m)), default=1) for m in range(1, k + 1)]
+    counts = {lg.LOG: 0, lg.KM: 0, lg.SPECIAL: 0, "M_k": 0, "R_k": 0}
     for vals in itertools.product(range(k), repeat=len(qs)):
-        c = lg.classify(lg.eval_vector(k, dict(zip(qs, vals))))
+        f = lg.eval_vector(k, dict(zip(qs, vals)))
+        c = lg.classify(f)
         counts[lg.LOG] += c.is_logarithm
         counts[lg.KM] += c.is_km
         counts[lg.SPECIAL] += c.is_special_km
+        counts["M_k"] = max(counts["M_k"], len(set(f.full_vector)))
+        for y in range(k, counts["R_k"], -1):
+            smooth = [v for v, t in zip(f.full_vector, top) if t <= y]
+            if len(set(smooth)) == len(smooth):
+                counts["R_k"] = y
+                break
     return counts
 
 
@@ -134,9 +146,11 @@ class TestSearch:
         assert lg.search(12, lg.SPECIAL) is None
 
     def test_rejects_nonpositive_length(self):
-        for k in (0, -3):
+        for k in (0, -1, -3):
             with pytest.raises(ValueError, match="k must be >= 1"):
                 lg.search(k)
+            with pytest.raises(ValueError, match="k must be >= 1"):
+                lg.image_stats(k)
             with pytest.raises(ValueError, match="k must be >= 1"):
                 lg.search_many(k)
             with pytest.raises(ValueError, match="k must be >= 1"):
@@ -166,6 +180,7 @@ class TestCount:
             bc = brute_counts(k)
             for cls in (lg.LOG, lg.KM, lg.SPECIAL):
                 assert lg.count(k, cls) == bc[cls], (k, cls)
+            assert lg.image_stats(k) == (bc["M_k"], bc["R_k"]), k
 
     def test_completion_freedom_divisibility(self):
         # primes above k/2 may take the leftover values in any order, so
