@@ -140,7 +140,7 @@ def _cmd_construct(args) -> int:
             "p": p,
             "length": len(seq),
             "verified": True,
-            "symbols": list(seq.symbols),
+            "symbols": seq.symbols.tolist(),
         }
         if report is not None:
             obj["report"] = {

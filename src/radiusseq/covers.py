@@ -8,6 +8,7 @@ splicing one progression segment per multiplier.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import chain, repeat
 from operator import mod
@@ -79,9 +80,9 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     for the first segment), and the next junction is (a_i+p+k-1)*d_i mod p.
     Every later segment starts one step on, which merges the repeated
     junction away. The segments stay ranges of unreduced terms, and one
-    ``map(mod, ...)`` over their chain builds the symbol tuple, so no
-    Python code runs per symbol. The result has length exactly
-    |D|(p+k-1)+1.
+    ``map(mod, ...)`` over their chain fills the symbol array, so no
+    Python code runs per symbol and no residue outlives its store. The
+    result has length exactly |D|(p+k-1)+1.
     """
     ok, _ = verify_cover(plan)
     if not ok:
@@ -94,7 +95,7 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
         segments.append(range((a + lo) * d, (a + p + k) * d, d))
         start = (a + p + k - 1) * d % p
         lo = 1
-    seq = RadiusSequence(p, k, tuple(map(mod, chain.from_iterable(segments), repeat(p))))
+    seq = RadiusSequence(p, k, array("I", map(mod, chain.from_iterable(segments), repeat(p))))
     if len(seq) != len(plan.multipliers) * (p + k - 1) + 1:
         raise AssertionError("constructed length deviates from |D|(p+k-1)+1")
     return seq

@@ -8,28 +8,52 @@ apart.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from operator import add, mul
 
 from .errors import AlphabetViolation, NotVerified
 
-# symbols per scatter block of verify: a few small lists, never O(length)
+# symbols per scatter block of verify up to reach 7, fewer beyond: a few
+# small lists, never O(length)
 _VERIFY_BLOCK = 4096
+
+
+def _outside(symbol: int, n: int) -> AlphabetViolation:
+    return AlphabetViolation(f"symbol {symbol} outside alphabet of size {n}")
 
 
 @dataclass(frozen=True)
 class RadiusSequence:
-    """A candidate n-ary k-radius sequence."""
+    """A candidate n-ary k-radius sequence.
+
+    The symbols are held in an ``array("I")``, 4 bytes each: an array of
+    that type is kept as given, and any other iterable of ints is copied
+    into one. A symbol that does not fit (negative, or at least 2**32)
+    raises AlphabetViolation. An array is mutable, so a RadiusSequence is
+    not hashable.
+    """
 
     n: int
     k: int
-    symbols: tuple[int, ...]
+    symbols: array
 
     def __post_init__(self):
         if self.n < 1 or self.k < 1:
             raise ValueError("n and k must be positive")
-        object.__setattr__(self, "symbols", tuple(self.symbols))
+        if self.n > 1 << 32:
+            raise ValueError("n must be at most 2**32, the range of a stored symbol")
+        symbols = self.symbols
+        if not (isinstance(symbols, array) and symbols.typecode == "I"):
+            if iter(symbols) is symbols:
+                symbols = list(symbols)  # one pass only; the error below reads it again
+            try:
+                symbols = array("I", symbols)
+            except OverflowError:
+                bad = next(s for s in symbols if not 0 <= s < self.n)
+                raise _outside(bad, self.n) from None
+            object.__setattr__(self, "symbols", symbols)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -43,19 +67,23 @@ def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
     lexicographic order.
     """
     n, k, symbols = seq.n, seq.k, seq.symbols
-    if symbols and (min(symbols) < 0 or max(symbols) >= n):
-        bad = next(s for s in symbols if s < 0 or s >= n)
-        raise AlphabetViolation(f"symbol {bad} outside alphabet of size {n}")
+    if symbols and max(symbols) >= n:
+        raise _outside(next(s for s in symbols if s >= n), n)
     # flat n*n table; cell x*n + y marks "x occurs at most k before y"
     marks = bytearray(n * n)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
     reach = min(k, len(symbols) - 1)
-    for start in range(0, len(symbols), _VERIFY_BLOCK):
-        block = symbols[start:start + _VERIFY_BLOCK + reach]
-        scaled = list(map(mul, block[:_VERIFY_BLOCK], repeat(n)))
+    # blocks shrink as the reach grows, so one gathers fewer than
+    # 8 * _VERIFY_BLOCK cells until it is down to a single symbol
+    step = max(1, _VERIFY_BLOCK // max(1, reach // 4))
+    for start in range(0, len(symbols), step):
+        block = symbols[start:start + step + reach].tolist()
+        scaled = list(map(mul, block[:step], repeat(n)))
+        cells = []
         for d in range(1, reach + 1):
-            for i in map(add, scaled, block[d:]):
-                marks[i] = 1
+            cells += map(add, scaled, block[d:])
+        for i in cells:
+            marks[i] = 1
     # fold column x (y before x) into row x (x before y), right of the diagonal
     count = 0
     for x in range(n):
@@ -84,12 +112,12 @@ def lower_bound(n: int, k: int) -> int:
 
 def naive_sequence(n: int, k: int) -> RadiusSequence:
     """Concatenation of all two-symbol words x,y with x < y; length 2*C(n,2)."""
-    symbols = []
+    symbols = array("I")
     for x in range(n):
         for y in range(x + 1, n):
             symbols.append(x)
             symbols.append(y)
-    return RadiusSequence(n, k, tuple(symbols))
+    return RadiusSequence(n, k, symbols)
 
 
 def one_radius_optimal(n: int) -> RadiusSequence:
@@ -101,7 +129,7 @@ def one_radius_optimal(n: int) -> RadiusSequence:
     the length is then C(n,2) + n/2, against C(n,2) + 1 for odd n.
     """
     if n == 1:
-        return RadiusSequence(1, 1, (0,))
+        return RadiusSequence(1, 1, [0])
     edges = [(x, y) for x in range(n) for y in range(x + 1, n)]
     if n % 2 == 0:
         edges.extend((2 * i, 2 * i + 1) for i in range(1, (n - 2) // 2 + 1))
@@ -129,7 +157,7 @@ def one_radius_optimal(n: int) -> RadiusSequence:
     trail.reverse()
     if len(trail) != len(edges) + 1:
         raise AssertionError("Eulerian trail failed to use every edge")
-    return RadiusSequence(n, 1, tuple(trail))
+    return RadiusSequence(n, 1, trail)
 
 
 def shrink_alphabet(seq: RadiusSequence, x: int) -> RadiusSequence:
@@ -154,9 +182,10 @@ def _drop_frequent(seq: RadiusSequence, x: int) -> RadiusSequence:
         freq[s] += 1
     ranked = sorted(range(seq.n), key=lambda s: (-freq[s], s))
     dropped = set(ranked[:x])
-    survivors = sorted(s for s in range(seq.n) if s not in dropped)
-    relabel = {s: i for i, s in enumerate(survivors)}
-    symbols = tuple(relabel[s] for s in seq.symbols if s not in dropped)
+    keep = [s not in dropped for s in range(seq.n)]
+    # a kept symbol's new label is the number of kept symbols below it
+    relabel = list(accumulate(keep, initial=0))
+    symbols = [relabel[s] for s in seq.symbols if keep[s]]
     return RadiusSequence(seq.n - x, seq.k, symbols)
 
 
@@ -165,7 +194,7 @@ def format_sequence(seq: RadiusSequence, comments: list[str] | None = None) -> s
     line ``n=<int> k=<int>``, then whitespace-separated decimal symbols."""
     lines = [f"# {c}" for c in comments or []]
     lines.append(f"n={seq.n} k={seq.k}")
-    lines.append(" ".join(str(s) for s in seq.symbols))
+    lines.append(str(seq.symbols.tolist())[1:-1].replace(",", ""))
     return "\n".join(lines) + "\n"
 
 
@@ -190,7 +219,8 @@ def parse_fields(line: str, what: str, names: tuple[str, ...]) -> list[int]:
 def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> RadiusSequence:
     """Parse the text format; explicit n/k arguments override the header."""
     header_n = header_k = None
-    symbols: list[int] = []
+    symbols = array("I")
+    misfit = None
     saw_content = False
     for line in text.splitlines():
         line = line.strip()
@@ -201,9 +231,18 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
             saw_content = True
             continue
         saw_content = True
-        symbols.extend(map(int, line.split()))
+        values = list(map(int, line.split()))
+        if misfit is None:
+            try:
+                symbols.fromlist(values)
+            except OverflowError:
+                misfit = values
     n = n if n is not None else header_n
     k = k if k is not None else header_k
     if n is None or k is None:
         raise ValueError("alphabet size and radius not given and no header found")
-    return RadiusSequence(n, k, tuple(symbols))
+    if misfit is not None:
+        # this line holds a symbol past 32 bits, so the first symbol outside
+        # the alphabet lies in it or before it; RadiusSequence names that one
+        symbols = chain(symbols, misfit)
+    return RadiusSequence(n, k, symbols)

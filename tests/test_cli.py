@@ -157,6 +157,22 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: sequence header 'n=5' has no 'k=' field\n"
 
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n=5 k=2\n0 1 -1 3 4\n", "symbol -1 outside alphabet of size 5"),
+            ("n=5 k=2\n0 1 4294967296 3 4\n", "symbol 4294967296 outside alphabet of size 5"),
+            # the first bad symbol in order, not the first that misses 32 bits
+            ("n=5 k=2\n0 1 7 -1 4\n", "symbol 7 outside alphabet of size 5"),
+            ("0 1 -1 3 4\n", "alphabet size and radius not given and no header found"),
+        ],
+    )
+    def test_symbol_past_32_bits(self, tmp_path, capsys, text, message):
+        f = tmp_path / "seq.txt"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, "verify", "--input", str(f))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_header_token_without_equals(self, tmp_path, capsys):
         f = tmp_path / "seq.txt"
         f.write_text("n=5 k\n0 1 2 3 4 0 1\n")

@@ -1,5 +1,7 @@
 import math
 import random
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from radiusseq import covers as cv
 from radiusseq import sequences as sq
+from radiusseq import tilings as tl
 from radiusseq.errors import AlphabetViolation, NotVerified
 
 
@@ -109,6 +112,22 @@ class TestVerify:
             sq.verify(sq.RadiusSequence(3, 1, (0, 7, -1, 9)))
         with pytest.raises(AlphabetViolation, match="^symbol -1 outside alphabet of size 3$"):
             sq.verify(sq.RadiusSequence(3, 1, (0, -1, 7)))
+        with pytest.raises(AlphabetViolation, match="^symbol 4294967296 outside alphabet of size 3$"):
+            sq.verify(sq.RadiusSequence(3, 1, (0, 2**32)))
+        with pytest.raises(AlphabetViolation, match=f"^symbol {-2**70} outside alphabet of size 3$"):
+            sq.verify(sq.RadiusSequence(3, 1, (0, -2**70, 7)))
+
+    def test_huge_radius_keeps_scratch_small(self):
+        # every offset reaches the whole sequence; the marks are 2.5 KB
+        rng = random.Random(41)
+        seq = sq.RadiusSequence(50, 10**9, [rng.randrange(50) for _ in range(1000)])
+        tracemalloc.start()
+        try:
+            sq.verify(seq)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_radius_monotone(self):
         # a verified (n, k) sequence also verifies at radius k+1
@@ -142,7 +161,7 @@ class TestNaiveSequence:
                 assert sq.verify(seq)[0], (n, k)
 
     def test_two_symbols(self):
-        assert sq.naive_sequence(2, 1).symbols == (0, 1)
+        assert sq.naive_sequence(2, 1).symbols.tolist() == [0, 1]
 
     def test_exceeds_lower_bound(self):
         for n in range(2, 20):
@@ -179,7 +198,7 @@ class TestShrinkAlphabet:
         assert len(out) <= 5
         assert sq.verify(out)[0]
         # frequency tie between 0 and 1 resolves to deleting 0
-        assert out.symbols == (0, 1, 2, 3, 0)
+        assert out.symbols.tolist() == [0, 1, 2, 3, 0]
 
     def test_shrink_to_single_symbol(self):
         seq = sq.naive_sequence(4, 2)
@@ -243,7 +262,7 @@ class TestSequenceFormat:
         with pytest.raises(ValueError):
             sq.parse_sequence("0 1 0\n")
         seq = sq.parse_sequence("0 1 0\n", n=2, k=1)
-        assert seq.symbols == (0, 1, 0)
+        assert seq.symbols.tolist() == [0, 1, 0]
 
     def test_header_without_radius(self):
         with pytest.raises(ValueError, match="no 'k=' field"):
@@ -259,4 +278,52 @@ class TestSequenceFormat:
 
     def test_comments_ignored(self):
         text = "# comment\n# another\nn=2 k=1\n0 1\n"
-        assert sq.parse_sequence(text).symbols == (0, 1)
+        assert sq.parse_sequence(text).symbols.tolist() == [0, 1]
+
+
+def held_bytes(build):
+    """(result, bytes that tracemalloc still counts once build() returns)."""
+    tracemalloc.start()
+    try:
+        result = build()
+        return result, tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStorage:
+    def test_every_producer_stores_an_unsigned_array(self):
+        seqs = [
+            cv.sequence_from_cover(cv.prime_cover(37, 2)),
+            tl.tiling_sequence(20, 2)[0],
+            sq.parse_sequence("n=3 k=1\n0 1\n2\n"),
+            sq.shrink_alphabet(sq.RadiusSequence(5, 2, (0, 1, 2, 3, 4, 0, 1)), 1),
+            sq.naive_sequence(4, 2),
+            sq.one_radius_optimal(6),
+            sq.one_radius_optimal(1),
+            sq.RadiusSequence(3, 1, iter([0, 1, 2])),
+        ]
+        for seq in seqs:
+            assert isinstance(seq.symbols, array) and seq.symbols.typecode == "I"
+
+    def test_array_is_kept_as_given(self):
+        symbols = array("I", [0, 1, 2])
+        assert sq.RadiusSequence(3, 1, symbols).symbols is symbols
+
+    def test_one_pass_iterator_names_first_offender(self):
+        with pytest.raises(AlphabetViolation, match="^symbol 7 outside alphabet of size 3$"):
+            sq.RadiusSequence(3, 1, iter([0, 7, -1]))
+
+    def test_alphabet_beyond_32_bits_rejected(self):
+        with pytest.raises(ValueError, match="at most 2"):
+            sq.RadiusSequence(2**32 + 1, 1, ())
+
+    def test_splice_and_parse_hold_few_bytes_per_symbol(self):
+        # a tuple of ints held about 34 bytes per symbol; the array holds 4
+        plan = cv.prime_cover(1447, 3)
+        seq, held = held_bytes(lambda: cv.sequence_from_cover(plan))
+        assert held <= 6 * len(seq)
+        text = sq.format_sequence(seq)
+        parsed, held = held_bytes(lambda: sq.parse_sequence(text))
+        assert parsed.symbols == seq.symbols
+        assert held <= 6 * len(seq)
