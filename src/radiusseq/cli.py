@@ -109,12 +109,11 @@ def _construct(args):
             return None, None, None, None
         plan = covers.prime_cover(p, k)
         return covers.sequence_from_cover(plan), p, None, plan
-    if args.strategy == "tiling":
-        if n < 2:
-            raise _UsageError("n must be >= 2")
-        seq, report = tilings.tiling_sequence(n, k)
-        return seq, report.p, report, None
-    raise _UsageError(f"unknown strategy {args.strategy!r}")
+    # argparse's choices=STRATEGIES leaves "tiling" as the only other value
+    if n < 2:
+        raise _UsageError("n must be >= 2")
+    seq, report = tilings.tiling_sequence(n, k)
+    return seq, report.p, report, None
 
 
 def _cmd_construct(args) -> int:

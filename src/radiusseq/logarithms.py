@@ -86,19 +86,16 @@ def classify(f: LogFn) -> Classification:
     For odd k every logarithm qualifies for both. For even k the special
     condition asks f(m) to be even for every divisor m of k/2; the KM
     condition asks the same for divisors of k that are 1 mod 4 (when
-    k = 2 mod 4) or for divisors of k/4 (when 4 | k).
+    k = 2 mod 4) or for divisors of k/4 (when 4 | k). Both index sets come
+    from _parity_targets, which the search prunes with.
     """
     k = f.k
     is_log = len(set(f.full_vector)) == k
     if not is_log:
         return Classification(False, False, False)
-    if k % 2 == 1:
-        return Classification(True, True, True)
-    special = all(f.value(m) % 2 == 0 for m in numtheory.divisors(k // 2))
-    if k % 4 == 2:
-        km = all(f.value(m) % 2 == 0 for m in numtheory.divisors(k) if m % 4 == 1)
-    else:
-        km = all(f.value(m) % 2 == 0 for m in numtheory.divisors(k // 4))
+    km, special = (
+        all(f.value(m) % 2 == 0 for m in _parity_targets(k, cls)) for cls in (KM, SPECIAL)
+    )
     return Classification(True, km, special)
 
 

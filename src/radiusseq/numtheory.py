@@ -2,8 +2,9 @@
 
 Everything here is pure integer / rational arithmetic: deterministic
 primality, orders, Legendre symbols, primitive roots, baby-step
-giant-step discrete logs, integer kernel lattices via Hermite normal
-form, and LLL reduction with exact Gram-Schmidt coefficients.
+giant-step discrete logs, the integer relation lattice of units mod p
+read off one walk over the subgroup they generate, and LLL reduction
+with exact Gram-Schmidt coefficients (the one use of Fraction).
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ from .errors import NoSolution
 # Witnesses 2..37 make Miller-Rabin deterministic for all n < 3.3 * 10^24,
 # comfortably covering the 64-bit range this library targets.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+# The classical Lovasz condition parameter of lll_reduce.
+LOVASZ_DELTA = Fraction(3, 4)
 
 
 def is_prime(n: int) -> bool:
@@ -221,69 +225,33 @@ def determinant(rows) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def hermite_normal_form(rows) -> list[list[int]]:
-    """Row-style Hermite normal form of an integer matrix.
+def relation_lattice(gens, p: int) -> tuple[IntBasis, dict[int, tuple[int, ...]]]:
+    """Relation lattice {v in Z^r : prod(g_i ** v_i) == 1 mod p} of units
+    g_1..g_r mod p, and an exponent vector for each h in H = <g_1..g_r>.
 
-    Returns the nonzero rows: pivots positive, entries above each pivot
-    reduced into [0, pivot). Unimodular row operations only, so the row
-    lattice is preserved.
+    With H_i = <g_i..g_r>, d_i is the least d >= 1 with g_i**d in H_{i+1},
+    and each h in H_i is g_i**s * h' for exactly one s < d_i and h' in
+    H_{i+1}. Walking the generators from last to first thus gives every h
+    one box vector v (0 <= v_i < d_i) and row i = d_i * e_i plus the box
+    vector of g_i**-d_i. The rows are the lattice's row-style Hermite
+    normal form: upper triangular, pivots d_i, entries above each pivot in
+    [0, pivot). Their determinant prod(d_i) is |H|.
     """
-    mat = [list(r) for r in rows]
-    if not mat:
-        return []
-    nrows, ncols = len(mat), len(mat[0])
-    r = 0
-    for c in range(ncols):
-        while True:
-            nz = [i for i in range(r, nrows) if mat[i][c] != 0]
-            if len(nz) <= 1:
-                break
-            i0 = min(nz, key=lambda i: abs(mat[i][c]))
-            for i in nz:
-                if i != i0:
-                    q = mat[i][c] // mat[i0][c]
-                    mat[i] = [x - q * y for x, y in zip(mat[i], mat[i0])]
-        nz = [i for i in range(r, nrows) if mat[i][c] != 0]
-        if not nz:
-            continue
-        piv = nz[0]
-        mat[r], mat[piv] = mat[piv], mat[r]
-        if mat[r][c] < 0:
-            mat[r] = [-x for x in mat[r]]
-        for i in range(r):
-            q = mat[i][c] // mat[r][c]
-            if q:
-                mat[i] = [x - q * y for x, y in zip(mat[i], mat[r])]
-        r += 1
-    return mat[:r]
-
-
-def kernel_lattice(exps: list[int], m: int) -> IntBasis:
-    """Basis of {v in Z^r : sum(v_i * exps_i) == 0 mod m}.
-
-    The determinant equals the order of the subgroup of Z_m generated by
-    the exps, i.e. the index of the kernel in Z^r.
-    """
-    r = len(exps)
-    if m < 1:
-        raise ValueError("modulus must be >= 1")
-    if r == 0:
-        return IntBasis(0, ())
-    stack = []
-    for i, a in enumerate(exps):
-        row = [a % m] + [0] * r
-        row[1 + i] = 1
-        stack.append(row)
-    stack.append([m] + [0] * r)
-    hnf = hermite_normal_form(stack)
-    kernel_rows = [tuple(row[1:]) for row in hnf if row[0] == 0]
-    if len(kernel_rows) != r:
-        raise AssertionError("kernel extraction lost rank")
-    basis = IntBasis(r, tuple(kernel_rows))
-    expected = m // math.gcd(m, *[a % m for a in exps]) if exps else 1
-    if abs(basis.determinant()) != expected:
-        raise AssertionError("kernel determinant mismatch")
-    return basis
+    if any(math.gcd(g, p) != 1 for g in gens):
+        raise ValueError(f"generators must be units mod {p}")
+    r = len(gens)
+    vec_of: dict[int, tuple[int, ...]] = {1: ()}
+    rows = []
+    for i in reversed(range(r)):
+        g = gens[i] % p
+        x, d = g, 1
+        while x not in vec_of:
+            x = x * g % p
+            d += 1
+        rows.append((0,) * i + (d,) + vec_of[pow(x, -1, p)])
+        powers = [pow(g, s, p) for s in range(d)]
+        vec_of = {gs * h % p: (s,) + v for s, gs in enumerate(powers) for h, v in vec_of.items()}
+    return IntBasis(r, tuple(reversed(rows))), vec_of
 
 
 def _gram_schmidt(b: list[list[int]]):
@@ -308,12 +276,13 @@ def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
 
-def lll_reduce(basis: IntBasis, delta: Fraction = Fraction(3, 4)) -> IntBasis:
+def lll_reduce(basis: IntBasis) -> IntBasis:
     """LLL-reduce an integer basis with exact rational arithmetic.
 
     Returns a basis of the same lattice whose rows are sorted by
-    Euclidean length ascending; with the classical Lovasz parameter 3/4
-    the product of the row norms is at most 2**(r(r-1)/4) * |det|.
+    Euclidean length ascending; with the classical Lovasz parameter
+    LOVASZ_DELTA = 3/4 the product of the row norms is at most
+    2**(r(r-1)/4) * |det|.
     """
     n = basis.dim
     if n == 0:
@@ -327,7 +296,7 @@ def lll_reduce(basis: IntBasis, delta: Fraction = Fraction(3, 4)) -> IntBasis:
                 q = round(mu[k][j])
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
                 ortho, mu = _gram_schmidt(b)
-        if _dot(ortho[k], ortho[k]) >= (delta - mu[k][k - 1] ** 2) * _dot(
+        if _dot(ortho[k], ortho[k]) >= (LOVASZ_DELTA - mu[k][k - 1] ** 2) * _dot(
             ortho[k - 1], ortho[k - 1]
         ):
             k += 1

@@ -123,33 +123,20 @@ def _subgroup_region(p: int, k: int) -> dict[int, tuple[int, ...]]:
     """The logarithm-independent half of the subgroup cover: each h in
     H = <primes <= k> of Z_p* mapped to an exponent vector of h reduced
     into the fundamental parallelepiped of the LLL-reduced relation
-    lattice of those primes."""
+    lattice of those primes. numtheory.relation_lattice reads the lattice
+    and one exponent vector per h off a single walk over H."""
     qs = numtheory.primes(k)
     if numtheory.legendre(-1, p) != -1:
         raise BadPrime(f"-1 must be a non-residue mod {p}")
     for q in qs:
         if numtheory.legendre(q, p) != 1:
             raise BadPrime(f"{q} must be a quadratic residue mod {p}")
-    alpha = numtheory.primitive_root(p)
-    exps = [numtheory.discrete_log(alpha, q, p) for q in qs]
-    # The relation lattice of q_1..q_r mod p, taken mod p-1, is the same
-    # lattice as mod |H|; LLL keeps the fundamental region compact.
-    lattice = numtheory.lll_reduce(numtheory.kernel_lattice(exps, p - 1))
-    vec_of: dict[int, tuple[int, ...]] = {1: (0,) * len(qs)}
-    queue = [1]
-    while queue:
-        h = queue.pop()
-        v = vec_of[h]
-        for i, q in enumerate(qs):
-            h2 = h * q % p
-            if h2 not in vec_of:
-                nxt = list(v)
-                nxt[i] += 1
-                vec_of[h2] = tuple(nxt)
-                queue.append(h2)
+    basis, vec_of = numtheory.relation_lattice(qs, p)
+    # LLL keeps the fundamental region compact.
+    lattice = numtheory.lll_reduce(basis)
     det = lattice.determinant()
     if abs(det) != len(vec_of):
-        raise AssertionError("kernel determinant does not match |H|")
+        raise AssertionError("lattice determinant does not match |H|")
     cof = _cofactors(lattice.rows)
     region = {h: _reduce(v, lattice.rows, cof, det) for h, v in vec_of.items()}
     if len(set(region.values())) != len(region):

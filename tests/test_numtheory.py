@@ -1,8 +1,11 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiusseq import numtheory as nt
 from radiusseq.errors import NoSolution
@@ -153,73 +156,110 @@ class TestDiscreteLog:
             nt.discrete_log(2, 3, 31)  # 3 is not in <2> mod 31
 
 
-def subgroup_order_in_zm(exps, m):
-    """Order of the subgroup of Z_m generated by the exps (brute force)."""
-    seen = {0}
-    frontier = [0]
+def closure(gens, p):
+    """The subgroup <gens> of Z_p* by plain closure (oracle)."""
+    seen = {1}
+    frontier = [1]
     while frontier:
         x = frontier.pop()
-        for a in exps:
-            y = (x + a) % m
+        for g in gens:
+            y = x * g % p
             if y not in seen:
                 seen.add(y)
                 frontier.append(y)
-    return len(seen)
+    return seen
 
 
-def kernel_size_in_box(exps, m):
-    """Count residue classes of Z^r mod m lying in the kernel (oracle)."""
-    import itertools
-
-    r = len(exps)
-    count = 0
-    for v in itertools.product(range(m), repeat=r):
-        if sum(x * a for x, a in zip(v, exps)) % m == 0:
-            count += 1
-    return count
+def evaluate(gens, v, p):
+    return math.prod(pow(g, e, p) for g, e in zip(gens, v)) % p
 
 
-class TestKernelLattice:
+@st.composite
+def units_mod_prime(draw):
+    """A small prime p and a random subset, in random order, of the primes below p."""
+    p = draw(st.sampled_from(nt.primes(150)[1:]))
+    gens = draw(st.lists(st.sampled_from(nt.primes(p - 1)), unique=True, max_size=4))
+    return gens, p
+
+
+class TestRelationLattice:
     @pytest.mark.parametrize(
-        "exps,m,det", [([1], 4, 4), ([2], 4, 2), ([1, 1], 2, 2)]
+        "gens,p,rows",
+        [([2], 7, ((3,),)), ([2, 3], 7, ((1, 4), (0, 6))), ([4, 2], 7, ((1, 1), (0, 3)))],
     )
-    def test_examples(self, exps, m, det):
-        basis = nt.kernel_lattice(exps, m)
-        assert abs(basis.determinant()) == det
+    def test_examples(self, gens, p, rows):
+        basis, vec_of = nt.relation_lattice(gens, p)
+        assert basis.rows == rows
+        assert set(vec_of) == closure(gens, p)
 
-    def test_rows_satisfy_congruence(self):
-        rng = random.Random(11)
-        for _ in range(100):
-            m = rng.randrange(1, 60)
-            r = rng.randrange(1, 4)
-            exps = [rng.randrange(m) for _ in range(r)]
-            basis = nt.kernel_lattice(exps, m)
-            for row in basis.rows:
-                assert sum(x * a for x, a in zip(row, exps)) % m == 0
+    @settings(max_examples=150, deadline=None)
+    @given(units_mod_prime())
+    def test_rows_are_relations(self, case):
+        gens, p = case
+        for row in nt.relation_lattice(gens, p)[0].rows:
+            assert evaluate(gens, row, p) == 1
 
-    def test_determinant_equals_subgroup_order(self):
-        rng = random.Random(13)
-        for _ in range(150):
-            m = rng.randrange(2, 200)
-            r = rng.randrange(1, 4)
-            exps = [rng.randrange(m) for _ in range(r)]
-            basis = nt.kernel_lattice(exps, m)
-            assert abs(basis.determinant()) == subgroup_order_in_zm(exps, m)
+    @settings(max_examples=150, deadline=None)
+    @given(units_mod_prime())
+    def test_rows_in_hermite_normal_form(self, case):
+        gens, p = case
+        rows = nt.relation_lattice(gens, p)[0].rows
+        for i, row in enumerate(rows):
+            assert all(x == 0 for x in row[:i])
+            assert row[i] > 0
+            for above in rows[:i]:
+                assert 0 <= above[i] < row[i]
 
-    def test_index_by_coset_counting(self):
-        # index in Z^r == m^r / (number of kernel residues mod m)
-        for exps, m in [([1], 4), ([2], 4), ([1, 1], 2), ([2, 3], 6), ([4, 6], 8)]:
-            basis = nt.kernel_lattice(exps, m)
-            r = len(exps)
-            assert abs(basis.determinant()) == m**r // kernel_size_in_box(exps, m)
+    @settings(max_examples=150, deadline=None)
+    @given(units_mod_prime())
+    def test_determinant_equals_subgroup_order(self, case):
+        gens, p = case
+        basis = nt.relation_lattice(gens, p)[0]
+        pivots = [row[i] for i, row in enumerate(basis.rows)]
+        assert math.prod(pivots) == basis.determinant() == len(closure(gens, p))
+
+    @settings(max_examples=150, deadline=None)
+    @given(units_mod_prime())
+    def test_exponent_vectors_fill_the_box(self, case):
+        # The box prod [0, d_i) is a fundamental domain of the lattice, so
+        # its points meet each coset of Z^r once: one per element of <gens>.
+        gens, p = case
+        basis, vec_of = nt.relation_lattice(gens, p)
+        pivots = [row[i] for i, row in enumerate(basis.rows)]
+        assert set(vec_of) == closure(gens, p)
+        assert set(vec_of.values()) == set(itertools.product(*map(range, pivots)))
+        for h, v in vec_of.items():
+            assert evaluate(gens, v, p) == h
 
     def test_membership_of_lattice_combinations(self):
-        basis = nt.kernel_lattice([3, 5], 12)
+        gens, p = [2, 3, 5], 31
+        rows = nt.relation_lattice(gens, p)[0].rows
         rng = random.Random(3)
         for _ in range(50):
-            c1, c2 = rng.randrange(-4, 5), rng.randrange(-4, 5)
-            v = [c1 * a + c2 * b for a, b in zip(*basis.rows)]
-            assert (3 * v[0] + 5 * v[1]) % 12 == 0
+            coeffs = [rng.randrange(-4, 5) for _ in rows]
+            v = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)]
+            assert evaluate(gens, v, p) == 1
+
+    @settings(max_examples=60, deadline=None)
+    @given(units_mod_prime())
+    def test_rows_span_every_relation(self, case):
+        # Brute force: every relation with small entries is an integer
+        # combination of the rows (back-substitution on the triangle).
+        gens, p = case
+        rows = nt.relation_lattice(gens[:3], p)[0].rows
+        for v in itertools.product(range(-4, 5), repeat=len(rows)):
+            if evaluate(gens, v, p) != 1:
+                continue
+            rest = list(v)
+            for i, row in enumerate(rows):
+                assert rest[i] % row[i] == 0
+                c = rest[i] // row[i]
+                rest = [x - c * y for x, y in zip(rest, row)]
+            assert not any(rest)
+
+    def test_rejects_non_units(self):
+        with pytest.raises(ValueError):
+            nt.relation_lattice([2, 7], 7)
 
 
 def shortest_vector_in_box(rows, box=6):
@@ -280,27 +320,12 @@ class TestLLL:
             assert lhs <= rhs
 
     def test_lattice_membership_preserved(self):
-        # rows of the reduced kernel basis still satisfy the congruence
-        basis = nt.kernel_lattice([7, 11, 13], 30)
-        reduced = nt.lll_reduce(basis)
+        # rows of the reduced relation basis are still relations
+        gens, p = [2, 3, 5, 7], 311
+        reduced = nt.lll_reduce(nt.relation_lattice(gens, p)[0])
         for row in reduced.rows:
-            assert (7 * row[0] + 11 * row[1] + 13 * row[2]) % 30 == 0
+            assert evaluate(gens, row, p) == 1
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
             nt.IntBasis(2, ((1, 2), (2, 4)))
-
-
-class TestHermiteNormalForm:
-    def test_upper_triangular_canonical(self):
-        hnf = nt.hermite_normal_form([[12, 6, 4], [3, 9, 6], [2, 16, 14]])
-        assert all(hnf[i][j] == 0 for i in range(3) for j in range(i))
-        for i in range(3):
-            assert hnf[i][i] > 0
-            for above in range(i):
-                assert 0 <= hnf[above][i] < hnf[i][i]
-
-    def test_row_lattice_preserved(self):
-        rows = [[4, 2], [2, 8]]
-        hnf = nt.hermite_normal_form(rows)
-        assert abs(nt.determinant(rows)) == abs(nt.determinant(hnf))

@@ -150,8 +150,7 @@ class TestSubgroupCover:
         region = tl._subgroup_region(239, 6)
         sub, ell = set(region), len(region)
         assert ell == len(sub) == 119
-        exps = [nt.discrete_log(nt.primitive_root(239), q, 239) for q in (2, 3, 5)]
-        basis = nt.lll_reduce(nt.kernel_lattice(exps, 238))
+        basis = nt.lll_reduce(nt.relation_lattice([2, 3, 5], 239)[0])
         assert abs(basis.determinant()) == ell
         prod_sq = math.prod(sum(x * x for x in row) for row in basis.rows)
         r = 3
@@ -199,8 +198,7 @@ class TestIntegerReduction:
         p = tl.admissible_prime(n, k)
         region = tl._subgroup_region(p, k)
         qs = nt.primes(k)
-        exps = [nt.discrete_log(nt.primitive_root(p), q, p) for q in qs]
-        rows = nt.lll_reduce(nt.kernel_lattice(exps, p - 1)).rows
+        rows = nt.lll_reduce(nt.relation_lattice(qs, p)[0]).rows
         det = nt.determinant(rows)
         sign = 1 if det > 0 else -1
         cof = tl._cofactors(rows)
