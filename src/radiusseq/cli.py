@@ -45,16 +45,30 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def _write_text(path: str | None, text: str) -> None:
+def _write(path: str | None, pieces) -> None:
+    """Write the strings of `pieces` in turn to `path`, or to stdout for
+    None or '-', so that only one piece is held at a time."""
     if path is None or path == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     else:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
 
 
 def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def _json_with_symbols(obj: dict, symbols):
+    """Yield ``json.dumps(obj, sort_keys=True)`` plus a newline in pieces,
+    with `symbols` as the list at key "symbols" (None in `obj`)."""
+    head, _, tail = json.dumps(obj, sort_keys=True).partition('"symbols": null')
+    yield head + '"symbols": ['
+    sep = ""
+    for run in sequences.symbol_runs(symbols):
+        yield sep + run
+        sep = ", "
+    yield "]" + tail + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -89,6 +103,8 @@ def _construct(args):
     n, k = args.n, args.k
     _check_positive("n", n)
     _check_positive("k", k)
+    if args.cover_out and args.strategy not in ("two-radius", "prime"):
+        raise _UsageError(f"strategy '{args.strategy}' has no cover plan for --cover-out")
     if args.strategy == "naive":
         return sequences.naive_sequence(n, k), None, None, None
     if args.strategy == "eulerian":
@@ -129,8 +145,8 @@ def _cmd_construct(args) -> int:
     if not ok:
         print("constructed sequence failed verification", file=sys.stderr)
         return 1
-    if args.cover_out and plan is not None:
-        _write_text(args.cover_out, covers.format_cover(plan))
+    if args.cover_out:
+        _write(args.cover_out, [covers.format_cover(plan)])
     if args.format == "json":
         obj = {
             "strategy": args.strategy,
@@ -139,7 +155,7 @@ def _cmd_construct(args) -> int:
             "p": p,
             "length": len(seq),
             "verified": True,
-            "symbols": seq.symbols.tolist(),
+            "symbols": None,
         }
         if report is not None:
             obj["report"] = {
@@ -152,7 +168,7 @@ def _cmd_construct(args) -> int:
                 "seq_length": report.seq_length,
                 "ratio_to_lower_bound": float(report.ratio_to_lower_bound),
             }
-        _emit_json(obj)
+        _write(args.output, _json_with_symbols(obj, seq.symbols))
     else:
         comments = [f"strategy={args.strategy} length={len(seq)}"]
         if p is not None:
@@ -165,7 +181,7 @@ def _cmd_construct(args) -> int:
                 f"cover_size={report.cover_size} "
                 f"ratio={float(report.ratio_to_lower_bound)!r}"
             )
-        _write_text(args.output, sequences.format_sequence(seq, comments))
+        _write(args.output, sequences.format_sequence(seq, comments))
     return 0
 
 
@@ -189,8 +205,7 @@ def _cmd_logs_search(args) -> int:
             }
         )
     else:
-        text = logarithms.format_logfn(f)
-        _write_text(args.output, text)
+        _write(args.output, [logarithms.format_logfn(f)])
     return 0
 
 

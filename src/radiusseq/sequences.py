@@ -18,6 +18,10 @@ from .errors import AlphabetViolation, NotVerified
 # symbols per scatter block of verify up to reach 7, fewer beyond: a few
 # small lists, never O(length)
 _VERIFY_BLOCK = 4096
+# symbols per written piece, and characters per parsed window of a long
+# line: serializing and parsing hold O(these) Python objects, not O(length)
+_WRITE_CHUNK = 1 << 16
+_PARSE_WINDOW = 1 << 16
 
 
 def _outside(symbol: int, n: int) -> AlphabetViolation:
@@ -130,32 +134,34 @@ def one_radius_optimal(n: int) -> RadiusSequence:
     """
     if n == 1:
         return RadiusSequence(1, 1, [0])
-    edges = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    # rows[v][w] == 1 once the simple edge {v, w} is used; the diagonal
+    # starts used, so find(0) yields v's next unused neighbour, ascending
+    rows = [bytearray(n) for _ in range(n)]
+    for v, row in enumerate(rows):
+        row[v] = 1
+    # spare[v]: v's doubled matching edge {v, v^1} (even n, v >= 2) is
+    # unused; it comes after every simple edge of v
+    spare = bytearray(n)
     if n % 2 == 0:
-        edges.extend((2 * i, 2 * i + 1) for i in range(1, (n - 2) // 2 + 1))
-    adj = [[] for _ in range(n)]
-    for eid, (x, y) in enumerate(edges):
-        adj[x].append((eid, y))
-        adj[y].append((eid, x))
-    used = bytearray(len(edges))
+        spare[2:] = bytes([1]) * (n - 2)
     ptr = [0] * n
-    stack = [0]
-    trail = []
+    stack = array("I", [0])
+    trail = array("I")
     while stack:
         v = stack[-1]
-        lst = adj[v]
-        i = ptr[v]
-        while i < len(lst) and used[lst[i][0]]:
-            i += 1
-        ptr[v] = i
-        if i == len(lst):
-            trail.append(stack.pop())
+        w = rows[v].find(0, ptr[v])
+        if w != -1:
+            ptr[v] = w + 1
+            rows[v][w] = rows[w][v] = 1
+        elif spare[v]:
+            w = v ^ 1
+            spare[v] = spare[w] = 0
         else:
-            eid, w = lst[i]
-            used[eid] = 1
-            stack.append(w)
+            trail.append(stack.pop())
+            continue
+        stack.append(w)
     trail.reverse()
-    if len(trail) != len(edges) + 1:
+    if len(trail) != math.comb(n, 2) + (0 if n % 2 else (n - 2) // 2) + 1:
         raise AssertionError("Eulerian trail failed to use every edge")
     return RadiusSequence(n, 1, trail)
 
@@ -189,13 +195,26 @@ def _drop_frequent(seq: RadiusSequence, x: int) -> RadiusSequence:
     return RadiusSequence(seq.n - x, seq.k, symbols)
 
 
-def format_sequence(seq: RadiusSequence, comments: list[str] | None = None) -> str:
-    """Serialize to the shared text format: optional comments, a header
-    line ``n=<int> k=<int>``, then whitespace-separated decimal symbols."""
-    lines = [f"# {c}" for c in comments or []]
-    lines.append(f"n={seq.n} k={seq.k}")
-    lines.append(str(seq.symbols.tolist())[1:-1].replace(",", ""))
-    return "\n".join(lines) + "\n"
+def symbol_runs(symbols: array):
+    """Yield the symbols as ``"a, b, c"`` runs of _WRITE_CHUNK symbols each,
+    the items of a JSON or Python list without its brackets."""
+    for start in range(0, len(symbols), _WRITE_CHUNK):
+        yield str(symbols[start:start + _WRITE_CHUNK].tolist())[1:-1]
+
+
+def format_sequence(seq: RadiusSequence, comments: list[str] | None = None):
+    """Yield the shared text format in pieces: optional comments, a header
+    line ``n=<int> k=<int>``, then a line of space-separated decimal
+    symbols. ``"".join`` of the pieces is the whole text; no piece holds
+    more than _WRITE_CHUNK symbols."""
+    for c in comments or []:
+        yield f"# {c}\n"
+    yield f"n={seq.n} k={seq.k}\n"
+    sep = ""
+    for run in symbol_runs(seq.symbols):
+        yield sep + run.replace(",", "")
+        sep = " "
+    yield "\n"
 
 
 def parse_fields(line: str, what: str, names: tuple[str, ...]) -> list[int]:
@@ -216,6 +235,19 @@ def parse_fields(line: str, what: str, names: tuple[str, ...]) -> list[int]:
     return [int(fields[name]) for name in names]
 
 
+def _windows(line: str):
+    """Yield `line` in pieces cut at the first space past every
+    _PARSE_WINDOW characters, so that no token is split."""
+    start = 0
+    while len(line) - start > _PARSE_WINDOW:
+        cut = line.find(" ", start + _PARSE_WINDOW)
+        if cut == -1:
+            break
+        yield line[start:cut]
+        start = cut + 1
+    yield line[start:]
+
+
 def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> RadiusSequence:
     """Parse the text format; explicit n/k arguments override the header."""
     header_n = header_k = None
@@ -231,12 +263,13 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
             saw_content = True
             continue
         saw_content = True
-        values = list(map(int, line.split()))
-        if misfit is None:
-            try:
-                symbols.fromlist(values)
-            except OverflowError:
-                misfit = values
+        for window in _windows(line):
+            values = list(map(int, window.split()))
+            if misfit is None:
+                try:
+                    symbols.fromlist(values)
+                except OverflowError:
+                    misfit = values
     n = n if n is not None else header_n
     k = k if k is not None else header_k
     if n is None or k is None:

@@ -1,6 +1,10 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -131,6 +135,80 @@ class TestConstruct:
         _, plain, _ = run_cli(capsys, *args)
         assert out == plain
         assert sq.parse_sequence(out).symbols == cv.sequence_from_cover(plan()).symbols
+
+    def test_json_output_file_equals_stdout(self, tmp_path, capsys):
+        args = ("construct", "--n", "30", "--k", "3", "--strategy", "prime",
+                "--format", "json")
+        out_file = tmp_path / "seq.json"
+        code, out, _ = run_cli(capsys, *args, "--output", str(out_file))
+        assert code == 0 and out == ""
+        _, plain, _ = run_cli(capsys, *args)
+        assert out_file.read_bytes() == plain.encode()
+
+
+# SHA-256 of construct's stdout, recorded before symbols were written in
+# chunks and before the Eulerian walk moved onto byte rows
+STDOUT_PINS = {
+    ("3000", "5", "prime", "text"):
+        "f22d7cef3cd3b05905fb15f7c00d72e93fbb822b5c279263d58030e3eaaf63bd",
+    ("3000", "5", "prime", "json"):
+        "29a52899db64ad904cd33fd005e09d67eeec145ad321a710108e3bfd2da68ac9",
+    ("600", "1", "eulerian", "json"):
+        "bcfec3e51862f101d21ef7d6e0f61821d94286055abd82b7f1fbe3a2bf2f84c6",
+    ("601", "1", "eulerian", "json"):
+        "aff7f65ca9ed150ad74f5e5709a9547482b0a50e160cd6864b7073bc661dd1fe",
+    ("1400", "3", "prime", "text", "--shrink"):
+        "39e91978f1638ad264fac68f829564dbe6737b21fd42e000fceb78e1433b81ff",
+    ("1000", "6", "tiling", "text"):
+        "d2fc32aa5cfe23798f3e2f4ff0af93355ee9b14d018c8897d45d0ecc7ed92879",
+    ("1000", "6", "tiling", "json"):
+        "ee27bb791bc1f8e81baff85c9b41bde2bfdedfb64ac3c1dc6fc34738d5157a7a",
+    ("10", "2", "two-radius", "text"):
+        "99ccf28fdcd2e0f5bfdc937829d7a764ea0fbcd4cc352f9a7a76015fd4903cf8",
+}
+
+
+def construct_argv(n, k, strategy, fmt, *extra):
+    return ["construct", "--n", n, "--k", k, "--strategy", strategy, "--format", fmt,
+            *extra]
+
+
+class TestStreamedOutput:
+    @pytest.mark.parametrize("case", list(STDOUT_PINS), ids=" ".join)
+    def test_pinned_stdout(self, capsys, case):
+        code, out, _ = run_cli(capsys, *construct_argv(*case))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[case]
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 7])
+    def test_chunked_json_equals_dumps(self, monkeypatch, length):
+        monkeypatch.setattr(sq, "_WRITE_CHUNK", 3)
+        symbols = sq.RadiusSequence(900, 2, [(37 * i) % 900 for i in range(length)]).symbols
+        obj = {"strategy": "prime", "n": 7, "p": None, "symbols": None, "verified": True}
+        pieces = list(cli._json_with_symbols(obj, symbols))
+        whole = json.dumps({**obj, "symbols": symbols.tolist()}, sort_keys=True) + "\n"
+        assert "".join(pieces) == whole
+        assert max(p.count(",") for p in pieces) <= 5
+
+    @pytest.mark.parametrize(
+        "case,limit",
+        [(("1400", "3", "prime", "json"), 6 << 20),
+         (("1400", "3", "prime", "text"), 6 << 20),
+         (("300", "1", "eulerian", "text"), 2 << 20)],
+        ids=["prime-json", "prime-text", "eulerian"],
+    )
+    def test_peak_memory_with_stdout_to_a_file(self, tmp_path, case, limit):
+        # the whole output as Python ints and strings took about 36 bytes a
+        # symbol; streaming holds one chunk of it at a time
+        with open(tmp_path / "out", "w", encoding="ascii") as out, redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = cli.main(construct_argv(*case))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak <= limit
 
 
 class TestVerify:
@@ -294,12 +372,22 @@ class TestUsageErrors:
             (("tiling", "check", "--k", "0"), "k must be >= 1"),
             (("verify", "--input", "-", "--n", "0"), "n must be >= 1"),
             (("verify", "--input", "-", "--k", "0"), "k must be >= 1"),
+            (("construct", "--n", "20", "--k", "2", "--strategy", "naive",
+              "--cover-out", os.devnull),
+             "strategy 'naive' has no cover plan for --cover-out"),
+            (("construct", "--n", "20", "--k", "1", "--strategy", "eulerian",
+              "--cover-out", os.devnull),
+             "strategy 'eulerian' has no cover plan for --cover-out"),
+            (("construct", "--n", "20", "--k", "2", "--strategy", "tiling",
+              "--cover-out", os.devnull),
+             "strategy 'tiling' has no cover plan for --cover-out"),
         ],
         ids=["tiling-n1", "construct-k0", "construct-n0", "scan-k0",
              "scan-limit1", "count-k43", "density-k50", "density-k0",
              "count-k0", "search-k0", "next-k0", "count-workers-neg",
              "scan-workers-neg", "density-workers0", "tiling-k0", "verify-n0",
-             "verify-k0"],
+             "verify-k0", "naive-cover-out", "eulerian-cover-out",
+             "tiling-cover-out"],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -170,7 +170,45 @@ class TestNaiveSequence:
                 assert len(seq) > math.comb(n, 2) / k
 
 
+def reference_one_radius_trail(n):
+    """The Hierholzer walk over explicit edge ids that one_radius_optimal
+    replaced: neighbours in ascending order, then the doubled matching
+    edge {v, v^1} for even n and v >= 2."""
+    if n == 1:
+        return [0]
+    edges = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    if n % 2 == 0:
+        edges.extend((2 * i, 2 * i + 1) for i in range(1, (n - 2) // 2 + 1))
+    adj = [[] for _ in range(n)]
+    for eid, (x, y) in enumerate(edges):
+        adj[x].append((eid, y))
+        adj[y].append((eid, x))
+    used = bytearray(len(edges))
+    ptr = [0] * n
+    stack = [0]
+    trail = []
+    while stack:
+        v = stack[-1]
+        lst = adj[v]
+        i = ptr[v]
+        while i < len(lst) and used[lst[i][0]]:
+            i += 1
+        ptr[v] = i
+        if i == len(lst):
+            trail.append(stack.pop())
+        else:
+            eid, w = lst[i]
+            used[eid] = 1
+            stack.append(w)
+    trail.reverse()
+    return trail
+
+
 class TestOneRadiusOptimal:
+    @pytest.mark.parametrize("n", [*range(1, 65), 255, 256, 600, 601])
+    def test_trail_matches_reference(self, n):
+        assert sq.one_radius_optimal(n).symbols.tolist() == reference_one_radius_trail(n)
+
     def exact_optimum(self, n):
         return math.comb(n, 2) + (1 if n % 2 else n // 2)
 
@@ -246,12 +284,39 @@ class TestShrinkAlphabet:
             sq.shrink_alphabet(sq.RadiusSequence(4, 1, (0, 1, 2, 3)), 1)
 
 
+def format_text(seq, comments=None):
+    return "".join(sq.format_sequence(seq, comments))
+
+
 class TestSequenceFormat:
     def test_round_trip(self):
         seq = sq.RadiusSequence(5, 2, (0, 1, 2, 3, 4, 0, 1))
-        text = sq.format_sequence(seq, comments=["demo run"])
+        text = format_text(seq, comments=["demo run"])
         assert text.startswith("# demo run\n")
         assert sq.parse_sequence(text) == seq
+
+    @pytest.mark.parametrize("length", [0, 1, 3, 4, 7])
+    def test_chunked_text_equals_one_join(self, monkeypatch, length):
+        monkeypatch.setattr(sq, "_WRITE_CHUNK", 3)
+        seq = sq.RadiusSequence(900, 2, [(37 * i) % 900 for i in range(length)])
+        pieces = list(sq.format_sequence(seq, ["a", "b c"]))
+        symbols = " ".join(str(s) for s in seq.symbols)
+        assert "".join(pieces) == f"# a\n# b c\nn=900 k=2\n{symbols}\n"
+        assert max(len(p.split()) for p in pieces) <= 3
+
+    def test_empty_sequence_text(self):
+        assert format_text(sq.naive_sequence(1, 3)) == "n=1 k=3\n\n"
+
+    @pytest.mark.parametrize("window", [1, 2, 5])
+    def test_windowed_parse_equals_whole_line(self, monkeypatch, window):
+        monkeypatch.setattr(sq, "_PARSE_WINDOW", window)
+        text = "n=900 k=2\n" + " ".join(str(i * 7 % 900) for i in range(50)) + "\n1 2\n"
+        assert sq.parse_sequence(text).symbols.tolist() == [
+            i * 7 % 900 for i in range(50)] + [1, 2]
+        with pytest.raises(ValueError, match=r"with base 10: 'x'"):
+            sq.parse_sequence("n=3 k=1\n0 1 2 0 1 2 x 1 y\n")
+        with pytest.raises(AlphabetViolation, match="^symbol 5 outside alphabet of size 3$"):
+            sq.parse_sequence(f"n=3 k=1\n0 1 2 0 1 2 5 1 {2**40} 7\n")
 
     def test_flags_override_header(self):
         text = "n=5 k=2\n0 1 2 3 4 0 1\n"
@@ -323,7 +388,21 @@ class TestStorage:
         plan = cv.prime_cover(1447, 3)
         seq, held = held_bytes(lambda: cv.sequence_from_cover(plan))
         assert held <= 6 * len(seq)
-        text = sq.format_sequence(seq)
+        text = format_text(seq)
         parsed, held = held_bytes(lambda: sq.parse_sequence(text))
         assert parsed.symbols == seq.symbols
         assert held <= 6 * len(seq)
+
+    def test_parse_of_one_long_line_peaks_low(self):
+        # split() of the whole line peaked near 96 bytes per symbol; the
+        # windows leave the line copy from splitlines() and the array
+        m = 500_000
+        text = "n=70000 k=3\n" + " ".join(str(i * 7919 % 70000) for i in range(m)) + "\n"
+        tracemalloc.start()
+        try:
+            parsed = sq.parse_sequence(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(parsed) == m and parsed.symbols[1] == 7919
+        assert peak <= 16 * m
