@@ -188,25 +188,18 @@ def _cmd_construct(args) -> int:
 def _cmd_logs_search(args) -> int:
     _check_positive("k", args.k)
     f = logarithms.search(args.k, args.cls)
-    if f is None:
-        if args.format == "json":
-            _emit_json({"k": args.k, "class": args.cls, "found": False})
-        else:
-            print(f"no {args.cls} function of length {args.k}")
-        return 1
     if args.format == "json":
-        _emit_json(
-            {
-                "k": args.k,
-                "class": args.cls,
-                "found": True,
-                "prime_values": {str(q): v for q, v in sorted(f.prime_values.items())},
-                "full_vector": list(f.full_vector),
-            }
-        )
+        obj = {"k": args.k, "class": args.cls, "found": f is not None}
+        if f is not None:
+            obj["prime_values"] = {str(q): v for q, v in sorted(f.prime_values.items())}
+            obj["full_vector"] = list(f.full_vector)
+        text = json.dumps(obj, sort_keys=True) + "\n"
+    elif f is None:
+        text = f"no {args.cls} function of length {args.k}\n"
     else:
-        _write(args.output, [logarithms.format_logfn(f)])
-    return 0
+        text = logarithms.format_logfn(f)
+    _write(args.output, [text])
+    return 1 if f is None else 0
 
 
 def _cmd_logs_count(args) -> int:
@@ -326,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_ls = logs_sub.add_parser("search")
     p_ls.add_argument("--k", type=int, required=True)
     p_ls.add_argument("--class", dest="cls", choices=logarithms.CLASSES, default="log")
-    p_ls.add_argument("--output", help="write the function here instead of stdout")
+    p_ls.add_argument("--output", help="write the result here instead of stdout")
     p_ls.add_argument("--format", choices=("text", "json"), default="text")
     p_ls.set_defaults(func=_cmd_logs_search)
     p_lc = logs_sub.add_parser("count")

@@ -13,10 +13,6 @@ class NotVerified(RadiusSeqError):
     """An operation required a verified k-radius sequence but got one that fails."""
 
 
-class NoSolution(RadiusSeqError):
-    """A discrete logarithm does not exist (target outside the generated subgroup)."""
-
-
 class CoverIncomplete(RadiusSeqError):
     """A cover plan does not cover all nonzero residues."""
 

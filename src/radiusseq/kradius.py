@@ -77,8 +77,9 @@ def next_k_radius_prime(n: int, k: int, horizon: int = DEFAULT_HORIZON) -> int |
 def induced_log(p: int, k: int) -> logarithms.LogFn:
     """The length-k function read off a k-radius prime's power residues.
 
-    Taking discrete logs of the residues a**((p-1)/k) with respect to the
-    k-th root of unity alpha**((p-1)/k) amounts to reducing dlog(a) mod k.
+    The residue a**((p-1)/k) is the power of the k-th root of unity
+    alpha**((p-1)/k) with exponent dlog(a) mod k, and logarithms.dlog_logfn
+    reads that exponent off the k powers of the root.
     """
     if not is_k_radius_prime(p, k):
         raise NotKRadiusPrime(f"{p} is not a {k}-radius prime")

@@ -13,8 +13,9 @@ left over in increasing order) instead of walking it; search returns the
 first representative (or the first N). A count is
 a sum of one task per value of f(2), and `pool_map` runs those tasks,
 like the shards of a prime scan, in-process or in a process pool.
-`dlog_logfn` builds the function q -> dlog(q) mod k from a prime modulus,
-and `image_stats` answers from `search`: a logarithm has the largest image.
+`dlog_logfn` reads the function q -> dlog(q) mod k off the k-th power
+character of a prime modulus, and `image_stats` answers from `search`: a
+logarithm has the largest image.
 """
 
 from __future__ import annotations
@@ -399,10 +400,22 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
 
 def dlog_logfn(p: int, k: int) -> LogFn:
     """The length-k function q -> dlog(q) mod k, for the smallest
-    primitive root of the prime p, evaluated at every prime q <= k."""
-    alpha = numtheory.primitive_root(p)
-    pv = {q: numtheory.discrete_log(alpha, q, p) % k for q in numtheory.primes(k)}
-    return eval_vector(k, pv)
+    primitive root alpha of the prime p, evaluated at every prime q <= k.
+
+    With e = (p-1)/k, q**e is the k-th power character of q, the power
+    zeta**(dlog(q) mod k) of zeta = alpha**e, which has order k. Raises
+    ValueError unless k divides p-1: otherwise dlog mod k is not a
+    homomorphism.
+    """
+    if (p - 1) % k:
+        raise ValueError(f"k={k} does not divide p-1={p - 1}")
+    e = (p - 1) // k
+    zeta = pow(numtheory.primitive_root(p), e, p)
+    index, power = {}, 1
+    for i in range(k):
+        index[power] = i
+        power = power * zeta % p
+    return eval_vector(k, {q: index[pow(q, e, p)] for q in numtheory.primes(k)})
 
 
 def log_from_safe_prime(k: int) -> LogFn | None:

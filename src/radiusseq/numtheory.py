@@ -1,26 +1,19 @@
 """Exact modular and lattice arithmetic underpinning every construction.
 
-Everything here is pure integer / rational arithmetic: deterministic
-primality, orders, Legendre symbols, primitive roots, baby-step
-giant-step discrete logs, the integer relation lattice of units mod p
-read off one walk over the subgroup they generate, and LLL reduction
-with exact Gram-Schmidt coefficients (the one use of Fraction).
+Everything here is pure integer arithmetic: deterministic primality,
+orders, Legendre symbols, primitive roots, the integer relation lattice
+of units mod p read off one walk over the subgroup they generate, and
+LLL reduction on integral Gram-Schmidt data.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-from .errors import NoSolution
 
 # Witnesses 2..37 make Miller-Rabin deterministic for all n < 3.3 * 10^24,
 # comfortably covering the 64-bit range this library targets.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# The classical Lovasz condition parameter of lll_reduce.
-LOVASZ_DELTA = Fraction(3, 4)
 
 
 def is_prime(n: int) -> bool:
@@ -155,36 +148,6 @@ def primitive_root(p: int) -> int:
         g += 1
 
 
-def discrete_log(base: int, target: int, p: int) -> int:
-    """Least x >= 0 with base**x == target mod p, by baby-step giant-step.
-
-    Raises NoSolution when target is outside the subgroup generated by base.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    base %= p
-    target %= p
-    if base == 0 or target == 0:
-        raise ValueError("base and target must be nonzero mod p")
-    if target == 1:
-        return 0
-    d = multiplicative_order(base, p)
-    m = math.isqrt(d) + 1
-    baby = {}
-    cur = 1
-    for j in range(m):
-        baby.setdefault(cur, j)
-        cur = cur * base % p
-    giant = pow(base, -m, p)
-    y = target
-    for i in range(m + 1):
-        j = baby.get(y)
-        if j is not None:
-            return (i * m + j) % d
-        y = y * giant % p
-    raise NoSolution(f"{target} is not a power of {base} mod {p}")
-
-
 @dataclass(frozen=True)
 class IntBasis:
     """Basis of a full-rank sublattice of Z^dim, stored as integer rows."""
@@ -254,55 +217,56 @@ def relation_lattice(gens, p: int) -> tuple[IntBasis, dict[int, tuple[int, ...]]
     return IntBasis(r, tuple(reversed(rows))), vec_of
 
 
-def _gram_schmidt(b: list[list[int]]):
+def _gram(b: list[list[int]]) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of the rows of b: the Gram determinants
+    d[0..n] (d[0] = 1, d[i+1] = d[i] * |b*_i|^2) and lam[i][j] =
+    d[j+1] * mu[i][j] for j < i, by the fraction-free recurrence, whose
+    every division is exact."""
     n = len(b)
-    ortho: list[list[Fraction]] = []
-    mu = [[Fraction(0)] * n for _ in range(n)]
+    d = [1] * (n + 1)
+    lam = [[0] * n for _ in range(n)]
     for i in range(n):
-        v = [Fraction(x) for x in b[i]]
-        for j in range(i):
-            denom = _dot(ortho[j], ortho[j])
-            if denom == 0:
-                raise ValueError("rank-deficient basis")
-            mu[i][j] = _dot(b[i], ortho[j]) / denom
-            v = [x - mu[i][j] * y for x, y in zip(v, ortho[j])]
-        if all(x == 0 for x in v):
-            raise ValueError("rank-deficient basis")
-        ortho.append(v)
-    return ortho, mu
-
-
-def _dot(u, v):
-    return sum(x * y for x, y in zip(u, v))
+        for j in range(i + 1):
+            u = sum(x * y for x, y in zip(b[i], b[j]))
+            for m in range(j):
+                u = (d[m + 1] * u - lam[i][m] * lam[j][m]) // d[m]
+            if j < i:
+                lam[i][j] = u
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def lll_reduce(basis: IntBasis) -> IntBasis:
-    """LLL-reduce an integer basis with exact rational arithmetic.
+    """LLL-reduce an integer basis in exact integer arithmetic.
 
     Returns a basis of the same lattice whose rows are sorted by
-    Euclidean length ascending; with the classical Lovasz parameter
-    LOVASZ_DELTA = 3/4 the product of the row norms is at most
-    2**(r(r-1)/4) * |det|.
+    Euclidean length ascending; with the classical Lovasz parameter 3/4
+    the product of the row norms is at most 2**(r(r-1)/4) * |det|.
+    IntBasis rejects singular bases and every step is unimodular, so the
+    Gram determinants stay positive.
     """
     n = basis.dim
     if n == 0:
         return basis
     b = [list(r) for r in basis.rows]
-    ortho, mu = _gram_schmidt(b)
+    d, lam = _gram(b)
     k = 1
     while k < n:
         for j in reversed(range(k)):
-            if abs(mu[k][j]) > Fraction(1, 2):
-                q = round(mu[k][j])
+            if 2 * abs(lam[k][j]) > d[j + 1]:
+                # round(mu[k][j]) = round(lam / d), ties to even
+                q, rem = divmod(lam[k][j], d[j + 1])
+                if 2 * rem > d[j + 1] or (2 * rem == d[j + 1] and q % 2):
+                    q += 1
                 b[k] = [x - q * y for x, y in zip(b[k], b[j])]
-                ortho, mu = _gram_schmidt(b)
-        if _dot(ortho[k], ortho[k]) >= (LOVASZ_DELTA - mu[k][k - 1] ** 2) * _dot(
-            ortho[k - 1], ortho[k - 1]
-        ):
+                d, lam = _gram(b)
+        # |b*_k|^2 >= (3/4 - mu[k][k-1]^2) |b*_(k-1)|^2, times 4 d[k] d[k-1]
+        if 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k][k - 1] ** 2:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]
-            ortho, mu = _gram_schmidt(b)
+            d, lam = _gram(b)
             k = max(k - 1, 1)
     b.sort(key=lambda row: sum(x * x for x in row))
     return IntBasis(n, tuple(tuple(row) for row in b))

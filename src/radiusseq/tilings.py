@@ -159,17 +159,6 @@ def _region_cover(p: int, k: int, region, f: logarithms.LogFn) -> tuple[list[int
     return multipliers, len(translates)
 
 
-def subgroup_cover(p: int, k: int, f: logarithms.LogFn) -> list[int]:
-    """Multipliers d in H = <primes <= k> whose blocks d*{1..k} cover H.
-
-    Requires every prime <= k to be a quadratic residue mod p while -1 is
-    not; raises BadPrime otherwise, and ValueError when f.k != k.
-    """
-    if f.k != k:
-        raise ValueError("logarithm length does not match k")
-    return _region_cover(p, k, _subgroup_region(p, k), f)[0]
-
-
 def admissible_prime(n: int, k: int) -> int:
     """Smallest prime p >= max(n, 2k+1) with p = -1 mod 8*(odd primes <= k).
 

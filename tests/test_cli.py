@@ -298,6 +298,22 @@ class TestLogs:
                              "--class", "special")
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "args,want_code",
+        [
+            (("--k", "6", "--format", "json"), 0),
+            (("--k", "4", "--class", "special"), 1),
+            (("--k", "4", "--class", "special", "--format", "json"), 1),
+        ],
+    )
+    def test_search_output_file_equals_stdout(self, tmp_path, capsys, args, want_code):
+        code, want, _ = run_cli(capsys, "logs", "search", *args)
+        out_file = tmp_path / "f.txt"
+        code_file, out, _ = run_cli(capsys, "logs", "search", *args,
+                                    "--output", str(out_file))
+        assert code == code_file == want_code
+        assert out == "" and out_file.read_text() == want != ""
+
 
 class TestPrimesAndDensity:
     def test_next(self, capsys):

@@ -359,6 +359,26 @@ class TestSafePrimeRoute:
                 assert c.is_special_km, k
 
 
+class TestDlogLogfn:
+    def test_matches_brute_force_dlog(self):
+        # Oracle: the discrete log of every unit by walking the powers of
+        # the primitive root, reduced mod k.
+        for p in nt.primes(2000):
+            g = nt.primitive_root(p)
+            dlog, x = {}, 1
+            for i in range(p - 1):
+                dlog[x] = i
+                x = x * g % p
+            for k in range(1, 41):
+                if (p - 1) % k == 0:
+                    f = lg.dlog_logfn(p, k)
+                    assert f.prime_values == {q: dlog[q] % k for q in nt.primes(k)}, (p, k)
+
+    def test_rejects_k_not_dividing_p_minus_1(self):
+        with pytest.raises(ValueError):
+            lg.dlog_logfn(7, 4)
+
+
 class TestImageStats:
     @pytest.mark.parametrize("k,expected", [(1, (1, 1)), (4, (4, 4)), (5, (5, 5))])
     def test_examples(self, k, expected):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from radiusseq import numtheory as nt
-from radiusseq.errors import NoSolution
+from radiusseq import tilings as tl
 
 
 def trial_division_prime(n):
@@ -131,31 +131,6 @@ class TestPrimitiveRoot:
                 assert nt.multiplicative_order(smaller, p) != p - 1
 
 
-class TestDiscreteLog:
-    @pytest.mark.parametrize("base,target,p,expected", [(2, 3, 13, 4), (2, 1, 13, 0), (2, 11, 13, 7)])
-    def test_examples(self, base, target, p, expected):
-        assert nt.discrete_log(base, target, p) == expected
-
-    def test_round_trip_full_group(self):
-        for p in (101, 499):
-            g = nt.primitive_root(p)
-            for t in range(1, p, 17):
-                x = nt.discrete_log(g, t, p)
-                assert pow(g, x, p) == t
-                assert 0 <= x < p - 1
-
-    def test_least_exponent_in_subgroup(self):
-        p = 31
-        base = 2  # order 5 mod 31
-        d = nt.multiplicative_order(base, p)
-        for x in range(d):
-            assert nt.discrete_log(base, pow(base, x, p), p) == x
-
-    def test_no_solution_outside_subgroup(self):
-        with pytest.raises(NoSolution):
-            nt.discrete_log(2, 3, 31)  # 3 is not in <2> mod 31
-
-
 def closure(gens, p):
     """The subgroup <gens> of Z_p* by plain closure (oracle)."""
     seen = {1}
@@ -276,6 +251,56 @@ def shortest_vector_in_box(rows, box=6):
     return best
 
 
+def fraction_lll(rows):
+    """Oracle: the same LLL loop on rational Gram-Schmidt vectors (Fraction),
+    recomputed from scratch after every change of the basis."""
+
+    def dot(u, v):
+        return sum(x * y for x, y in zip(u, v))
+
+    def gram_schmidt(b):
+        ortho, mu = [], [[Fraction(0)] * len(b) for _ in b]
+        for i, row in enumerate(b):
+            v = [Fraction(x) for x in row]
+            for j in range(i):
+                mu[i][j] = dot(row, ortho[j]) / dot(ortho[j], ortho[j])
+                v = [x - mu[i][j] * y for x, y in zip(v, ortho[j])]
+            ortho.append(v)
+        return ortho, mu
+
+    b = [list(r) for r in rows]
+    ortho, mu = gram_schmidt(b)
+    k = 1
+    while k < len(b):
+        for j in reversed(range(k)):
+            if abs(mu[k][j]) > Fraction(1, 2):
+                q = round(mu[k][j])
+                b[k] = [x - q * y for x, y in zip(b[k], b[j])]
+                ortho, mu = gram_schmidt(b)
+        lhs = dot(ortho[k], ortho[k])
+        if lhs >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * dot(ortho[k - 1], ortho[k - 1]):
+            k += 1
+        else:
+            b[k], b[k - 1] = b[k - 1], b[k]
+            ortho, mu = gram_schmidt(b)
+            k = max(k - 1, 1)
+    b.sort(key=lambda row: sum(x * x for x in row))
+    return tuple(tuple(row) for row in b)
+
+
+def character_pattern_primes(k, count):
+    """The first `count` primes p > k with -1 a non-residue and every prime
+    <= k a residue: the primes whose relation lattices the tiling reduces."""
+    qs = nt.primes(k)
+    out, p = [], k + 1
+    while len(out) < count:
+        p += 1
+        if (nt.is_prime(p) and nt.legendre(-1, p) == -1
+                and all(nt.legendre(q, p) == 1 for q in qs)):
+            out.append(p)
+    return out
+
+
 class TestLLL:
     def test_identity_already_reduced(self):
         basis = nt.IntBasis(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -329,3 +354,31 @@ class TestLLL:
     def test_rank_deficient_rejected(self):
         with pytest.raises(ValueError):
             nt.IntBasis(2, ((1, 2), (2, 4)))
+
+    @pytest.mark.parametrize("k", range(2, 21))
+    def test_matches_fraction_reference_on_relation_lattices(self, k):
+        qs = nt.primes(k)
+        # admissible primes for k >= 13 exceed 10**5; their walks are slow
+        admissible = {tl.admissible_prime(n, k) for n in (2, 1000)} if k <= 12 else set()
+        for p in sorted(admissible | set(character_pattern_primes(k, 3))):
+            basis = nt.relation_lattice(qs, p)[0]
+            assert nt.lll_reduce(basis).rows == fraction_lll(basis.rows), (k, p)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((2, 0), (3, 1)),  # mu = 3/2: rounds to even 2, not 1
+            ((2, 0), (5, 1)),  # mu = 5/2: rounds to even 2, not 3
+            ((2, 0), (-3, 1)),  # mu = -3/2: rounds to even -2, not -1
+            ((0, 0, 2), (1, -2, -1), (2, -3, -3)),  # a Lovasz test holds with equality
+        ],
+    )
+    def test_matches_fraction_reference_at_ties(self, rows):
+        assert nt.lll_reduce(nt.IntBasis(len(rows), rows)).rows == fraction_lll(rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda r: st.tuples(*[st.tuples(*[st.integers(-50, 50)] * r)] * r)
+    ).filter(lambda rows: nt.determinant(rows) != 0))
+    def test_matches_fraction_reference_on_random_bases(self, rows):
+        assert nt.lll_reduce(nt.IntBasis(len(rows), rows)).rows == fraction_lll(rows)

@@ -105,9 +105,14 @@ class TestLocate:
                 seen[key] = y
 
 
+def cover(p, k, f):
+    """The multipliers of the subgroup cover of f at p."""
+    return tl._region_cover(p, k, tl._subgroup_region(p, k), f)[0]
+
+
 class TestSubgroupCover:
     def test_p7_k2(self):
-        ds = tl.subgroup_cover(7, 2, lg.search(2))
+        ds = cover(7, 2, lg.search(2))
         assert ds == [1, 4]
         covered = set().union(*(cv.block_A(d, 2, 7) for d in ds))
         assert covered >= {1, 2, 4}
@@ -115,16 +120,16 @@ class TestSubgroupCover:
     def test_bad_prime_rejected(self):
         # p = 5: -1 is a QR mod 5
         with pytest.raises(BadPrime):
-            tl.subgroup_cover(5, 2, lg.search(2))
+            cover(5, 2, lg.search(2))
         # p = 23: 3 is not a QR mod 23... check with k=3 (needs (3/23)=1)
         if nt.legendre(3, 23) != 1:
             with pytest.raises(BadPrime):
-                tl.subgroup_cover(23, 3, lg.search(3))
+                cover(23, 3, lg.search(3))
 
     @pytest.mark.parametrize("length", [4, 5, 8])
     def test_rejects_logarithm_of_other_length(self, length):
         with pytest.raises(ValueError, match="logarithm length does not match k"):
-            tl.subgroup_cover(239, 6, lg.search(length))
+            tl.tiling_sequence(239, 6, lg.search(length))
 
     def test_cover_property_various_primes(self):
         f = lg.search(3)
@@ -133,7 +138,7 @@ class TestSubgroupCover:
                 continue
             if any(nt.legendre(q, p) != 1 for q in (2, 3)):
                 continue
-            ds = tl.subgroup_cover(p, 3, f)
+            ds = cover(p, 3, f)
             sub = {1}
             frontier = [1]
             while frontier:
