@@ -3,8 +3,8 @@
 Subcommands: verify, construct (strategies naive | eulerian | two-radius |
 prime | tiling), logs search|count, primes scan|next, density, and tiling
 check. Exit status 0 on success, 1 on verification failure or absence
-results, 2 on usage errors. Identical requests produce byte-identical
-reports.
+results, 2 when the library or the CLI raises OutOfRange. Identical
+requests produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -14,28 +14,14 @@ import json
 import sys
 
 from . import covers, kradius, logarithms, numtheory, sequences, tilings
-from .errors import RadiusSeqError
+from .errors import OutOfRange, RadiusSeqError
 
 STRATEGIES = ("naive", "eulerian", "two-radius", "prime", "tiling")
 
 
-class _UsageError(Exception):
-    pass
-
-
 def _check_positive(name: str, value: int) -> None:
     if value < 1:
-        raise _UsageError(f"{name} must be >= 1")
-
-
-def _check_budget(k: int, max_k: int) -> None:
-    if k > max_k:
-        raise _UsageError(f"k={k} exceeds the counting budget {max_k}")
-
-
-def _check_scan(k: int, limit: int) -> None:
-    if k < 1 or limit < 2:
-        raise _UsageError("need k >= 1 and limit >= 2")
+        raise OutOfRange(f"{name} must be >= 1")
 
 
 def _read_text(path: str) -> str:
@@ -104,16 +90,16 @@ def _construct(args):
     _check_positive("n", n)
     _check_positive("k", k)
     if args.cover_out and args.strategy not in ("two-radius", "prime"):
-        raise _UsageError(f"strategy '{args.strategy}' has no cover plan for --cover-out")
+        raise OutOfRange(f"strategy '{args.strategy}' has no cover plan for --cover-out")
     if args.strategy == "naive":
         return sequences.naive_sequence(n, k), None, None, None
     if args.strategy == "eulerian":
         if k != 1:
-            raise _UsageError("strategy 'eulerian' requires k=1")
+            raise OutOfRange("strategy 'eulerian' requires k=1")
         return sequences.one_radius_optimal(n), None, None, None
     if args.strategy == "two-radius":
         if k != 2:
-            raise _UsageError("strategy 'two-radius' requires k=2")
+            raise OutOfRange("strategy 'two-radius' requires k=2")
         p = max(n, 5)
         while p % 2 == 0 or not numtheory.is_prime(p):
             p += 1
@@ -126,8 +112,6 @@ def _construct(args):
         plan = covers.prime_cover(p, k)
         return covers.sequence_from_cover(plan), p, None, plan
     # argparse's choices=STRATEGIES leaves "tiling" as the only other value
-    if n < 2:
-        raise _UsageError("n must be >= 2")
     seq, report = tilings.tiling_sequence(n, k)
     return seq, report.p, report, None
 
@@ -186,7 +170,6 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_logs_search(args) -> int:
-    _check_positive("k", args.k)
     f = logarithms.search(args.k, args.cls)
     if args.format == "json":
         obj = {"k": args.k, "class": args.cls, "found": f is not None}
@@ -203,9 +186,6 @@ def _cmd_logs_search(args) -> int:
 
 
 def _cmd_logs_count(args) -> int:
-    _check_positive("k", args.k)
-    _check_positive("workers", args.workers)
-    _check_budget(args.k, args.max_k)
     total = logarithms.count(args.k, args.cls, max_k=args.max_k, workers=args.workers)
     if args.format == "json":
         _emit_json({"k": args.k, "class": args.cls, "count": total})
@@ -215,7 +195,6 @@ def _cmd_logs_count(args) -> int:
 
 
 def _cmd_primes_next(args) -> int:
-    _check_positive("k", args.k)
     p = kradius.next_k_radius_prime(args.start, args.k, horizon=args.horizon)
     if p is None:
         print(f"no {args.k}-radius prime in [{args.start}, {args.horizon}]")
@@ -225,8 +204,6 @@ def _cmd_primes_next(args) -> int:
 
 
 def _cmd_primes_scan(args) -> int:
-    _check_scan(args.k, args.limit)
-    _check_positive("workers", args.workers)
     found = kradius.scan_k_radius_primes(args.k, args.limit, workers=args.workers)
     for p in found:
         print(p)
@@ -234,9 +211,6 @@ def _cmd_primes_scan(args) -> int:
 
 
 def _cmd_density(args) -> int:
-    _check_scan(args.k, args.limit)
-    _check_positive("workers", args.workers)
-    _check_budget(args.k, args.max_k)
     report = kradius.density_scan(
         args.k, args.limit, workers=args.workers, max_k=args.max_k
     )
@@ -266,7 +240,6 @@ def _cmd_density(args) -> int:
 
 
 def _cmd_tiling_check(args) -> int:
-    _check_positive("k", args.k)
     f = logarithms.search(args.k)
     if f is None:
         print(f"no logarithm of length {args.k}")
@@ -366,7 +339,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except OutOfRange as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (RadiusSeqError, ValueError, OSError) as exc:

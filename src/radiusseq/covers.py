@@ -15,7 +15,7 @@ from operator import mod
 
 from . import kradius, numtheory
 from .errors import CoverIncomplete, NotKRadiusPrime
-from .sequences import RadiusSequence, parse_fields
+from .sequences import RadiusSequence, content_lines, parse_fields
 
 
 @dataclass(frozen=True)
@@ -39,21 +39,13 @@ class CoverPlan:
 
 
 def block_B(d: int, k: int, p: int) -> set[int]:
-    """The 2k-element set d*{+-1,...,+-k} mod p."""
-    if p < 2 * k + 1:
-        raise ValueError(f"need p >= 2k+1, got p={p}, k={k}")
-    d %= p
-    if d == 0:
-        raise ValueError("multiplier must be nonzero mod p")
-    out = set()
-    for i in range(1, k + 1):
-        out.add(i * d % p)
-        out.add(-i * d % p)
-    return out
+    """The 2k-element set d*{+-1,...,+-k} mod p: block_A and its negations."""
+    a = block_A(d, k, p)
+    return a | {p - x for x in a}
 
 
 def block_A(d: int, k: int, p: int) -> set[int]:
-    """The k-element set d*{1,...,k} mod p; block_B = block_A U -block_A."""
+    """The k-element set d*{1,...,k} mod p."""
     if p < 2 * k + 1:
         raise ValueError(f"need p >= 2k+1, got p={p}, k={k}")
     d %= p
@@ -173,10 +165,7 @@ def format_cover(plan: CoverPlan) -> str:
 def parse_cover(text: str) -> CoverPlan:
     header = None
     multipliers = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         if header is None:
             header = parse_fields(line, "cover header", ("p", "k"))
         else:

@@ -29,7 +29,12 @@ class BadPrime(RadiusSeqError):
     """A prime fails the quadratic-character preconditions of the subgroup cover."""
 
 
-class BudgetExceeded(RadiusSeqError):
+class OutOfRange(RadiusSeqError, ValueError):
+    """An argument lies outside the domain of the requested operation; the
+    CLI exits 2 on it."""
+
+
+class BudgetExceeded(OutOfRange):
     """A parameter exceeds the configured computational budget."""
 
 

@@ -7,12 +7,11 @@ Z_p* into (p-1)/2k multiplier blocks and hence near-optimal sequences.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import logarithms, numtheory
-from .errors import NotKRadiusPrime
+from .errors import NotKRadiusPrime, OutOfRange
 
 DEFAULT_HORIZON = 10**7
 CSV_HEADER = "k,limit,primes_scanned,hits,observed,predicted"
@@ -53,7 +52,7 @@ def _qualifies(p: int, k: int, spf: list[int]) -> bool:
 def is_k_radius_prime(p: int, k: int) -> bool:
     """True iff prime p = 1 mod 2k and 1..k have distinct k-th power residues."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise OutOfRange("k must be >= 1")
     if not numtheory.is_prime(p):
         raise ValueError(f"{p} is not prime")
     return _qualifies(p, k, _spf_for(k, p))
@@ -62,7 +61,7 @@ def is_k_radius_prime(p: int, k: int) -> bool:
 def next_k_radius_prime(n: int, k: int, horizon: int = DEFAULT_HORIZON) -> int | None:
     """Smallest k-radius prime >= n, or None if none up to the horizon."""
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise OutOfRange("k must be >= 1")
     step = 2 * k
     spf = _spf_for(k, horizon)
     p = max(n, 3)
@@ -117,38 +116,38 @@ class DensityReport:
 
 
 def _scan_interval(args) -> tuple[int, list[int]]:
-    """(number of primes, ascending k-radius primes) in [lo, hi], with a
-    segmented sieve; only the primes = 1 mod 2k reach the predicate."""
+    """(number of primes, ascending k-radius primes) in [lo, hi], with
+    numtheory.segmented_sieve; only the primes = 1 mod 2k reach the
+    predicate."""
     k, lo, hi = args
     lo = max(lo, 2)
-    if hi < lo:
-        return 0, []
-    base = numtheory.primes(math.isqrt(hi))
-    size = hi - lo + 1
-    flags = bytearray([1]) * size
-    for q in base:
-        start = max(q * q, (lo + q - 1) // q * q)
-        flags[start - lo :: q] = bytearray(len(flags[start - lo :: q]))
+    flags = numtheory.segmented_sieve(lo, hi)
     step = 2 * k
     spf = _spf_for(k, hi)
     found = [
         lo + i
-        for i in range((1 - lo) % step, size, step)
+        for i in range((1 - lo) % step, len(flags), step)
         if flags[i] and _qualifies(lo + i, k, spf)
     ]
     return flags.count(1), found
 
 
+def _validate_scan(k: int, limit: int, workers: int) -> None:
+    if k < 1 or limit < 2:
+        raise OutOfRange("need k >= 1 and limit >= 2")
+    if workers < 1:
+        raise OutOfRange("workers must be >= 1")
+
+
 def scan_k_radius_primes(k: int, limit: int, workers: int = 1) -> list[int]:
     """All k-radius primes <= limit, ascending; shardable across workers."""
-    if k < 1 or limit < 2:
-        raise ValueError("need k >= 1 and limit >= 2")
+    _validate_scan(k, limit, workers)
     return [p for _, found in _run_shards(k, limit, workers) for p in found]
 
 
 def _run_shards(k: int, limit: int, workers: int) -> list[tuple[int, list[int]]]:
     """_scan_interval over [2, limit] cut into one interval per process;
-    the caller has checked k >= 1 and limit >= 2."""
+    the caller has run _validate_scan."""
     span = (limit - 1) // logarithms.pool_size(workers, limit - 1) + 1
     tasks = [(k, lo, min(lo + span - 1, limit)) for lo in range(2, limit + 1, span)]
     return logarithms.pool_map(_scan_interval, tasks, workers)
@@ -162,8 +161,7 @@ def density_scan(
 ) -> DensityReport:
     """Scan all primes <= limit and compare the hit rate with the prediction;
     the arguments and the counting budget are checked before any sieving."""
-    if k < 1 or limit < 2:
-        raise ValueError("need k >= 1 and limit >= 2")
+    _validate_scan(k, limit, workers)
     predicted = predicted_density(k, max_k=max_k)
     parts = _run_shards(k, limit, workers)
     n_primes = sum(n for n, _ in parts)

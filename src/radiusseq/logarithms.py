@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from itertools import islice, permutations
 
 from . import numtheory
-from .errors import BudgetExceeded, CountingError, NotBijective
-from .sequences import parse_fields
+from .errors import BudgetExceeded, CountingError, NotBijective, OutOfRange
+from .sequences import content_lines, parse_fields
 
 LOG = "log"
 KM = "km"
@@ -349,11 +349,7 @@ class _Engine:
 def search(k: int, cls: str = LOG) -> LogFn | None:
     """First logarithm of the requested class in lexicographic order,
     or None when none exists."""
-    if cls not in CLASSES:
-        raise ValueError(f"unknown class {cls!r}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    found = _Engine(k, cls, enforce_f3=True).search_many(1)
+    found = search_many(k, cls, 1)
     return found[0] if found else None
 
 
@@ -362,7 +358,7 @@ def search_many(k: int, cls: str = LOG, limit: int = 8) -> list[LogFn]:
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise OutOfRange("k must be >= 1")
     if limit < 1:
         return []
     return _Engine(k, cls, enforce_f3=True).search_many(limit)
@@ -383,15 +379,18 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
     primes q > k/2 whose value moves index q alone: they share one block,
     so the values still unused go to them in increasing order, and only
     the values of singleton blocks among them are enumerated, for the
-    representative check. Counts above the budget ceiling raise
-    BudgetExceeded; results are identical for any worker count.
+    representative check. A k below 1, workers below 1 or a k above the
+    budget ceiling raise OutOfRange (BudgetExceeded for the budget), in
+    that order; results are identical for any worker count.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")
+    if k < 1:
+        raise OutOfRange("k must be >= 1")
+    if workers < 1:
+        raise OutOfRange("workers must be >= 1")
     if k > max_k:
         raise BudgetExceeded(f"k={k} exceeds the counting budget {max_k}")
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if k <= 2:
         return 1
     tasks = [(k, cls, f2) for f2 in numtheory.divisors(k)[:-1]]
@@ -455,10 +454,7 @@ def format_logfn(f: LogFn) -> str:
 def parse_logfn(text: str) -> LogFn:
     k = None
     pv = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in content_lines(text):
         if line.startswith("k="):
             k = int(line.split("=", 1)[1])
         else:

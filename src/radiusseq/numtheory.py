@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import compress
 
 # Witnesses 2..37 make Miller-Rabin deterministic for all n < 3.3 * 10^24,
 # comfortably covering the 64-bit range this library targets.
@@ -40,21 +41,22 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def sieve(limit: int) -> bytearray:
-    """Flags[i] == 1 iff i is prime, for 0 <= i <= limit."""
-    flags = bytearray([1]) * (limit + 1) if limit >= 0 else bytearray()
-    for i in range(min(1, limit) + 1):
-        flags[i] = 0
-    for i in range(2, math.isqrt(limit) + 1):
-        if flags[i]:
-            flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
+def segmented_sieve(lo: int, hi: int) -> bytearray:
+    """flags[i] == 1 iff lo + i is prime, for lo <= lo + i <= hi; needs
+    lo >= 2, and is empty when hi < lo. The primes up to sqrt(hi) that
+    strike the composites come from a sieve of [2, sqrt(hi)]."""
+    if hi < lo:
+        return bytearray()
+    flags = bytearray([1]) * (hi - lo + 1)
+    for q in primes(math.isqrt(hi)):
+        start = max(q * q, (lo + q - 1) // q * q) - lo
+        flags[start::q] = bytearray(len(range(start, len(flags), q)))
     return flags
 
 
 def primes(limit: int) -> list[int]:
     """All primes <= limit, ascending."""
-    flags = sieve(limit)
-    return [i for i in range(2, limit + 1) if flags[i]]
+    return list(compress(range(2, limit + 1), segmented_sieve(2, limit)))
 
 
 def spf_table(k: int) -> list[int]:
@@ -105,9 +107,7 @@ def euler_phi(n: int) -> int:
 
 def prime_count(n: int) -> int:
     """pi(n): number of primes <= n."""
-    if n < 2:
-        return 0
-    return sum(sieve(n))
+    return segmented_sieve(2, n).count(1)
 
 
 def multiplicative_order(a: int, n: int) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
 from operator import add, mul
 
-from .errors import AlphabetViolation, NotVerified
+from .errors import AlphabetViolation, NotVerified, OutOfRange
 
 # symbols per scatter block of verify up to reach 7, fewer beyond: a few
 # small lists, never O(length)
@@ -132,6 +132,8 @@ def one_radius_optimal(n: int) -> RadiusSequence:
     2..n-1 is doubled, leaving 0 and 1 as the odd-degree trail endpoints;
     the length is then C(n,2) + n/2, against C(n,2) + 1 for odd n.
     """
+    if n < 1:
+        raise OutOfRange("n must be >= 1")
     if n == 1:
         return RadiusSequence(1, 1, [0])
     # rows[v][w] == 1 once the simple edge {v, w} is used; the diagonal
@@ -235,6 +237,15 @@ def parse_fields(line: str, what: str, names: tuple[str, ...]) -> list[int]:
     return [int(fields[name]) for name in names]
 
 
+def content_lines(text: str):
+    """Yield the lines of `text` stripped, skipping blank lines and
+    ``#`` comments: the comment rule of every text format."""
+    for line in text.splitlines():
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield line
+
+
 def _windows(line: str):
     """Yield `line` in pieces cut at the first space past every
     _PARSE_WINDOW characters, so that no token is split."""
@@ -253,16 +264,10 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
     header_n = header_k = None
     symbols = array("I")
     misfit = None
-    saw_content = False
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not saw_content and line.startswith("n="):
+    for i, line in enumerate(content_lines(text)):
+        if i == 0 and line.startswith("n="):
             header_n, header_k = parse_fields(line, "sequence header", ("n", "k"))
-            saw_content = True
             continue
-        saw_content = True
         for window in _windows(line):
             values = list(map(int, window.split()))
             if misfit is None:

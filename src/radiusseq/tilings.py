@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from . import logarithms, numtheory
 from .covers import CoverPlan, block_A, coset_minima, sequence_from_cover
-from .errors import BadPrime, NotBijective
+from .errors import BadPrime, NotBijective, OutOfRange
 from .sequences import RadiusSequence
 
 CANDIDATES = 8
@@ -205,7 +205,7 @@ def tiling_sequence(
     measure alike.
     """
     if n < 2:
-        raise ValueError("n must be >= 2")
+        raise OutOfRange("n must be >= 2")
     if f is not None and f.k != k:
         raise ValueError("logarithm length does not match k")
     p = admissible_prime(n, k)

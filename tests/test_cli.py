@@ -415,6 +415,37 @@ class TestUsageErrors:
         assert code == 0 and out == "2\n"
 
 
+class TestTwoFaultErrors:
+    """An invocation with two bad values reports the one checked first:
+    k, then workers, then the budget."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("logs", "count", "--k", "43", "--workers", "0"),
+             "workers must be >= 1"),
+            (("density", "--k", "50", "--workers", "0"),
+             "workers must be >= 1"),
+            (("primes", "scan", "--k", "0", "--limit", "1", "--workers", "-2"),
+             "need k >= 1 and limit >= 2"),
+            (("construct", "--n", "1", "--k", "0", "--strategy", "tiling"),
+             "k must be >= 1"),
+        ],
+        ids=["count-k43-workers0", "density-k50-workers0",
+             "scan-k0-limit1-workers-neg", "tiling-n1-k0"],
+    )
+    def test_first_fault_reported(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_verify_rejects_n_before_reading(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        code, out, err = run_cli(capsys, "verify", "--input", missing, "--n", "0")
+        assert code == 2 and out == ""
+        assert err == "error: n must be >= 1\n"
+
+
 class TestDeterminism:
     def test_byte_identical_reports(self, capsys):
         args = ("construct", "--n", "20", "--k", "2", "--strategy", "tiling",

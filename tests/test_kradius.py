@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
 from radiusseq import numtheory as nt
-from radiusseq.errors import BudgetExceeded, NotKRadiusPrime
+from radiusseq.errors import BudgetExceeded, NotKRadiusPrime, OutOfRange
 
 
 def pow_is_k_radius(p, k):
@@ -173,6 +173,21 @@ class TestDensityScan:
             kr.density_scan(50, 10**6)
         with pytest.raises(ValueError, match="need k >= 1 and limit >= 2"):
             kr.density_scan(0, 100)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_raise_before_the_scan(self, monkeypatch, workers):
+        def no_scan(*args):
+            raise AssertionError("the sieve ran")
+
+        monkeypatch.setattr(kr, "_run_shards", no_scan)
+        for scan in (kr.scan_k_radius_primes, kr.density_scan):
+            with pytest.raises(OutOfRange, match=r"^workers must be >= 1$"):
+                scan(3, 1000, workers=workers)
+        # the workers check comes before the budget, the range check before both
+        with pytest.raises(OutOfRange, match=r"^workers must be >= 1$"):
+            kr.density_scan(50, 1000, workers=workers)
+        with pytest.raises(OutOfRange, match=r"^need k >= 1 and limit >= 2$"):
+            kr.density_scan(0, 1, workers=workers)
 
     def test_scan_listing_matches_counts(self):
         found = kr.scan_k_radius_primes(3, 2000)

@@ -8,7 +8,7 @@ import pytest
 from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
 from radiusseq import numtheory as nt
-from radiusseq.errors import BudgetExceeded
+from radiusseq.errors import BudgetExceeded, OutOfRange
 
 from reference_counts import KNOWN_LOG, KNOWN_SPECIAL
 
@@ -207,6 +207,26 @@ class TestCount:
         with pytest.raises(BudgetExceeded):
             lg.count(43, lg.LOG)
         assert lg.count(10, lg.LOG, max_k=10) == 20
+
+    def test_budget_exceeded_is_out_of_range_and_value_error(self):
+        with pytest.raises(BudgetExceeded) as info:
+            lg.count(43, lg.LOG)
+        assert isinstance(info.value, OutOfRange)
+        assert isinstance(info.value, ValueError)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_raise(self, workers):
+        # prime k has one task, which runs in this process for any workers
+        for k in (7, 12):
+            with pytest.raises(OutOfRange, match=r"^workers must be >= 1$"):
+                lg.count(k, workers=workers)
+
+    def test_checks_run_k_then_workers_then_budget(self):
+        with pytest.raises(OutOfRange, match=r"^k must be >= 1$"):
+            lg.count(0, workers=0, max_k=-1)
+        with pytest.raises(OutOfRange, match=r"^workers must be >= 1$") as info:
+            lg.count(43, workers=0)
+        assert not isinstance(info.value, BudgetExceeded)
 
     def test_worker_determinism(self):
         for k, cls in [(15, lg.LOG), (16, lg.SPECIAL), (13, lg.KM)]:

@@ -55,6 +55,19 @@ class TestEulerPhiAndPrimeCount:
             assert nt.prime_count(n) == want, n
 
 
+class TestSegmentedSieve:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 3000), st.integers(-5, 3000))
+    def test_against_trial_division(self, lo, hi):
+        flags = nt.segmented_sieve(lo, hi)
+        assert list(flags) == [int(trial_division_prime(m)) for m in range(lo, hi + 1)]
+
+    def test_primes_against_trial_division(self):
+        for limit in (-3, 0, 1, 2, 3, 4, 25, 360, 1009):
+            want = [p for p in range(2, limit + 1) if trial_division_prime(p)]
+            assert nt.primes(limit) == want, limit
+
+
 class TestSpfTable:
     def test_against_factorization(self):
         spf = nt.spf_table(500)

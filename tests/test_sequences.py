@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from radiusseq import covers as cv
 from radiusseq import sequences as sq
 from radiusseq import tilings as tl
-from radiusseq.errors import AlphabetViolation, NotVerified
+from radiusseq.errors import AlphabetViolation, NotVerified, OutOfRange
 
 
 def brute_force_verify(seq):
@@ -226,6 +226,11 @@ class TestOneRadiusOptimal:
     @pytest.mark.parametrize("n,expected", [(2, 2), (3, 4), (4, 8)])
     def test_small_cases(self, n, expected):
         assert len(sq.one_radius_optimal(n)) == expected
+
+    @pytest.mark.parametrize("n", [0, -2])
+    def test_empty_alphabet_is_out_of_range(self, n):
+        with pytest.raises(OutOfRange, match=r"^n must be >= 1$"):
+            sq.one_radius_optimal(n)
 
 
 class TestShrinkAlphabet:
