@@ -21,14 +21,13 @@ logarithm has the largest image.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice, permutations
 
 from . import numtheory
 from .errors import BudgetExceeded, CountingError, NotBijective, OutOfRange
-from .sequences import content_lines, parse_fields
+from .sequences import content_lines, parse_fields, usable_cpus
 
 LOG = "log"
 KM = "km"
@@ -171,10 +170,10 @@ def _prime_tables(k: int, qs: list[int], targets: set[int]):
 def pool_size(workers: int, tasks: int) -> int:
     """Worker processes to start for `tasks` independent tasks.
 
-    Never more than the tasks or the CPUs, so no argument can make a pool
-    start an unbounded number of processes; at least 1.
+    Never more than the tasks or the usable CPUs, so no argument can make a
+    pool start an unbounded number of processes; at least 1.
     """
-    return max(1, min(workers, tasks, os.cpu_count() or 1))
+    return max(1, min(workers, tasks, usable_cpus()))
 
 
 def pool_map(fn, tasks: list, workers: int) -> list:

@@ -8,16 +8,25 @@ apart.
 from __future__ import annotations
 
 import math
+import multiprocessing
+import os
+import threading
 from array import array
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate, chain, repeat
-from operator import add, mul
+from operator import add, mul, or_
 
-from .errors import AlphabetViolation, NotVerified, OutOfRange
+from .errors import AlphabetViolation, NotVerified, OutOfRange, RadiusSeqError
 
 # symbols per scatter block of verify up to reach 7, fewer beyond: a few
 # small lists, never O(length)
 _VERIFY_BLOCK = 4096
+# length * reach from which verify marks the second half in a forked
+# child; the child's start paid for itself from about 120,000 cells
+_SPLIT_CELLS = 200_000
+# the byte 0 or 1 of a marks cell as the digit "0" or "1"
+_DIGITS = bytes.maketrans(b"\0\1", b"01")
 # symbols per written piece, and characters per parsed window of a long
 # line: serializing and parsing hold O(these) Python objects, not O(length)
 _WRITE_CHUNK = 1 << 16
@@ -63,49 +72,125 @@ class RadiusSequence:
         return len(self.symbols)
 
 
-def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
-    """Check the k-radius property by ordered-pair marking plus fold.
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one, else the installed count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
-    Returns (ok, missing) where missing lists every unordered pair of
-    distinct alphabet symbols that never co-occurs within distance k, in
-    lexicographic order.
-    """
-    n, k, symbols = seq.n, seq.k, seq.symbols
-    if symbols and max(symbols) >= n:
-        raise _outside(next(s for s in symbols if s >= n), n)
-    # flat n*n table; cell x*n + y marks "x occurs at most k before y"
-    marks = bytearray(n * n)
-    # offsets past the end pair nothing; capping them keeps a huge k cheap
-    reach = min(k, len(symbols) - 1)
+
+def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[int]:
+    """The pairs that positions lo..hi-1 meet within `reach` symbols after
+    them, as n-1 ints: row x holds a bit for each y > x, the most
+    significant for y = x+1, set when x and y occur at most reach apart."""
+    try:
+        # cell x*n + y marks "x occurs at most reach before y"
+        marks = bytearray(n * n)
+    except (MemoryError, OverflowError):
+        raise RadiusSeqError(
+            f"n={n} needs a marks table of {n * n} bytes, more than can be allocated"
+        ) from None
     # blocks shrink as the reach grows, so one gathers fewer than
     # 8 * _VERIFY_BLOCK cells until it is down to a single symbol
     step = max(1, _VERIFY_BLOCK // max(1, reach // 4))
-    for start in range(0, len(symbols), step):
-        block = symbols[start:start + step + reach].tolist()
-        scaled = list(map(mul, block[:step], repeat(n)))
+    for start in range(lo, hi, step):
+        end = min(start + step, hi)
+        block = symbols[start:end + reach].tolist()
+        scaled = list(map(mul, block[:end - start], repeat(n)))
         cells = []
         for d in range(1, reach + 1):
             cells += map(add, scaled, block[d:])
         for i in cells:
             marks[i] = 1
     # fold column x (y before x) into row x (x before y), right of the diagonal
-    count = 0
-    for x in range(n):
-        lo, hi = x * n + x + 1, (x + 1) * n
-        row = int.from_bytes(marks[lo:hi], "little") | int.from_bytes(
-            marks[hi + x::n], "little"
-        )
-        marks[lo:hi] = row.to_bytes(hi - lo, "little")
-        count += row.bit_count()
-    if count == n * (n - 1) // 2:
+    return [
+        int(marks[x * n + x + 1:(x + 1) * n].translate(_DIGITS), 2)
+        | int(marks[(x + 1) * n + x::n].translate(_DIGITS), 2)
+        for x in range(n - 1)
+    ]
+
+
+def _send_rows(conn, *args) -> None:
+    """The forked child's work: send _marked_rows(*args) to the parent."""
+    try:
+        conn.send(_marked_rows(*args))
+    except (RadiusSeqError, OSError):  # no table, or the parent stopped reading
+        raise SystemExit(1) from None  # quietly: the parent marks this half itself
+
+
+def _splits(cells: int) -> bool:
+    # a fork copies no thread but the caller's, so a lock another thread
+    # holds (a stream's, say) would stay locked in the child
+    return (
+        cells >= _SPLIT_CELLS
+        and usable_cpus() >= 2
+        and "fork" in multiprocessing.get_all_start_methods()
+        and threading.active_count() == 1
+    )
+
+
+def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
+    """Check the k-radius property by ordered-pair marking plus fold.
+
+    Returns (ok, missing) where missing lists every unordered pair of
+    distinct alphabet symbols that never co-occurs within distance k, in
+    lexicographic order.
+
+    A sequence of length L with L * min(k, L-1) at least _SPLIT_CELLS is
+    marked by two processes when at least 2 CPUs are usable, the "fork"
+    start method exists and this process runs no other thread: at most one
+    child, forked so that it inherits the symbols instead of receiving a
+    copy, marks the pairs that start in [L/2, L) in an n*n table of its own
+    and sends the folded rows back through a pipe, while this process
+    marks [0, L/2). The child is always joined before verify returns. If
+    it exits non-zero or sends nothing, this process marks the second half
+    itself, so the result never rests on the child alone.
+
+    An n*n table that cannot be allocated raises RadiusSeqError.
+    """
+    n, k, symbols = seq.n, seq.k, seq.symbols
+    if symbols and max(symbols) >= n:
+        raise _outside(next(s for s in symbols if s >= n), n)
+    length = len(symbols)
+    # offsets past the end pair nothing; capping them keeps a huge k cheap
+    reach = min(k, length - 1)
+    if not _splits(length * reach):
+        rows = _marked_rows(symbols, n, reach, 0, length)
+    else:
+        half = length // 2
+        context = multiprocessing.get_context("fork")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=_send_rows, args=(sender, symbols, n, reach, half, length))
+        try:
+            child.start()
+        except OSError:  # no process could be forked
+            child = None
+        sender.close()
+        theirs = None
+        try:
+            rows = _marked_rows(symbols, n, reach, 0, half)
+            if child is not None:
+                with suppress(EOFError, OSError):  # no whole message came
+                    theirs = receiver.recv()
+        finally:
+            receiver.close()
+            if child is not None:
+                child.join()
+        if theirs is None or child.exitcode != 0:
+            theirs = _marked_rows(symbols, n, reach, half, length)
+        rows = list(map(or_, rows, theirs))
+    if sum(map(int.bit_count, rows)) == n * (n - 1) // 2:
         return True, []
     missing = []
-    for x in range(n):
-        base, hi = x * n, (x + 1) * n
-        i = marks.find(0, base + x + 1, hi)
-        while i != -1:
-            missing.append((x, i - base))
-            i = marks.find(0, i + 1, hi)
+    for x, row in enumerate(rows):
+        width = n - 1 - x
+        if row.bit_count() < width:
+            bits = format(row, f"0{width}b")
+            j = bits.find("0")
+            while j != -1:
+                missing.append((x, x + 1 + j))
+                j = bits.find("0", j + 1)
     return False, missing
 
 

@@ -258,6 +258,15 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: sequence header 'n=5 k' has a token 'k' without '='\n"
 
+    def test_impossible_marks_table_is_one_line(self, tmp_path, capsys):
+        # the allocation fails at once, so nothing is held
+        f = tmp_path / "seq.txt"
+        f.write_text("n=1000000000 k=2\n0 1\n")
+        code, out, err = run_cli(capsys, "verify", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert err == ("error: n=1000000000 needs a marks table of "
+                       "1000000000000000000 bytes, more than can be allocated\n")
+
     def test_json_missing_pairs(self, tmp_path, capsys):
         f = tmp_path / "seq.txt"
         f.write_text("n=3 k=1\n0 1 2\n")

@@ -8,6 +8,7 @@ import pytest
 from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
 from radiusseq import numtheory as nt
+from radiusseq import sequences as sq
 from radiusseq.errors import BudgetExceeded, OutOfRange
 
 from reference_counts import KNOWN_LOG, KNOWN_SPECIAL
@@ -318,18 +319,25 @@ class TestEngine:
         assert lg.count(41, lg.LOG, workers=2) == lg.count(41, lg.LOG)
         assert kr.scan_k_radius_primes(3, 3000, workers=1)
         assert kr.density_scan(3, 3000).k_radius_count > 0
-        if (os.cpu_count() or 1) >= 2:
+        if sq.usable_cpus() >= 2:
             # control: a count with several tasks does reach the pool
             with pytest.raises(AssertionError, match="process pool"):
                 lg.count(42, lg.LOG, workers=2)
 
     def test_pool_size_is_capped(self):
-        cpus = os.cpu_count() or 1
+        cpus = sq.usable_cpus()
         assert lg.pool_size(10**9, 10**9) == cpus
         assert lg.pool_size(10**9, 1) == 1
         assert lg.pool_size(0, 10**9) == 1
         assert lg.pool_size(-5, 3) == 1
         assert lg.pool_size(2, 10**9) == min(2, cpus)
+
+    def test_pool_size_counts_usable_cpus(self, monkeypatch):
+        # under `taskset -c 0` the machine still has its CPUs, the process one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sq.usable_cpus() == 1
+        assert lg.pool_size(2, 10**9) == 1
+        assert lg.pool_size(10**9, 10**9) == 1
 
 
 class TestScalingClosure:

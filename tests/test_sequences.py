@@ -1,5 +1,10 @@
 import math
+import multiprocessing
+import os
 import random
+import subprocess
+import sys
+import threading
 import tracemalloc
 from array import array
 
@@ -10,7 +15,7 @@ from hypothesis import strategies as st
 from radiusseq import covers as cv
 from radiusseq import sequences as sq
 from radiusseq import tilings as tl
-from radiusseq.errors import AlphabetViolation, NotVerified, OutOfRange
+from radiusseq.errors import AlphabetViolation, NotVerified, OutOfRange, RadiusSeqError
 
 
 def brute_force_verify(seq):
@@ -36,6 +41,12 @@ def brute_force_missing(seq):
         for y in range(x + 1, seq.n)
         if not any(abs(i - j) <= seq.k for i in pos.get(x, ()) for j in pos.get(y, ()))
     ]
+
+
+def straddle(gap, half=60):
+    """A word of length 2*half whose only (0, 2) pair has its 0 just
+    before position half and its 2 `gap` symbols later."""
+    return (1,) * (half - 1) + (0,) + (1,) * (gap - 1) + (2,) + (1,) * (half - gap)
 
 
 @st.composite
@@ -100,12 +111,9 @@ class TestVerify:
     def test_pair_straddling_block_boundary(self, gap):
         # the only (0, 2) occurrence has its 0 as the last symbol of the
         # first scatter block and its 2 `gap` symbols later
-        def straddle(gap):
-            block = sq._VERIFY_BLOCK
-            return (1,) * (block - 1) + (0,) + (1,) * (gap - 1) + (2,) + (1,) * 50
-
-        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap))) == (True, [])
-        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1))) == (False, [(0, 2)])
+        block = sq._VERIFY_BLOCK
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap, block))) == (True, [])
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1, block))) == (False, [(0, 2)])
 
     def test_alphabet_violation_names_first_offender(self):
         with pytest.raises(AlphabetViolation, match="^symbol 7 outside alphabet of size 3$"):
@@ -129,6 +137,11 @@ class TestVerify:
             tracemalloc.stop()
         assert peak < 8 * 2**20
 
+    @pytest.mark.parametrize("n", [10**9, 2**32])
+    def test_impossible_table_is_one_error(self, n):
+        with pytest.raises(RadiusSeqError, match=rf"^n={n} needs a marks table of {n * n} bytes"):
+            sq.verify(sq.RadiusSequence(n, 2, (0, 1)))
+
     def test_radius_monotone(self):
         # a verified (n, k) sequence also verifies at radius k+1
         rng = random.Random(31)
@@ -139,6 +152,118 @@ class TestVerify:
             symbols = tuple(rng.randrange(n) for _ in range(m))
             if sq.verify(sq.RadiusSequence(n, k, symbols))[0]:
                 assert sq.verify(sq.RadiusSequence(n, k + 1, symbols))[0]
+
+
+FORK = "fork" in multiprocessing.get_all_start_methods()
+needs_two_cpus = pytest.mark.skipif(
+    sq.usable_cpus() < 2 or not FORK, reason="verify splits only with 2 usable CPUs and fork"
+)
+
+
+@pytest.fixture
+def children(monkeypatch):
+    """The verify children started during a test, each joined by then."""
+    started = []
+    context = multiprocessing.get_context("fork")
+
+    class Recorded(context.Process):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(context, "Process", Recorded)
+    return started
+
+
+def no_process(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify started a process")
+
+    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", refuse)
+
+
+@pytest.mark.skipif(not FORK, reason="the split needs the fork start method")
+class TestSplitVerify:
+    @settings(max_examples=150, deadline=None)
+    @given(radius_sequences())
+    def test_forced_split_matches_pair_enumeration(self, seq):
+        missing = brute_force_missing(seq)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sq, "_SPLIT_CELLS", 1)
+            assert sq.verify(seq) == (not missing, missing)
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("gap", [1, 2, 3])
+    def test_pair_straddling_the_half_is_found(self, monkeypatch, children, gap):
+        monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap))) == (True, [])
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1))) == (False, [(0, 2)])
+        assert [c.exitcode for c in children] == [0, 0]
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("sends", [False, True])
+    def test_failed_child_is_not_trusted(self, monkeypatch, children, sends):
+        def fail(conn, symbols, n, reach, lo, hi):
+            if sends:  # rows claiming every pair, which would pass the word
+                conn.send([(1 << (n - 1 - x)) - 1 for x in range(n - 1)])
+            sys.exit(1)
+
+        rng = random.Random(7)
+        seqs = [sq.RadiusSequence(6, 2, [rng.randrange(6) for _ in range(40)]) for _ in range(5)]
+        seqs.append(sq.RadiusSequence(3, 2, straddle(3)))
+        expected = [sq.verify(seq) for seq in seqs]
+        monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(sq, "_send_rows", fail)
+        assert [sq.verify(seq) for seq in seqs] == expected
+        assert [c.exitcode for c in children] == [1] * len(seqs)
+
+    def test_short_sequence_starts_no_process(self, monkeypatch):
+        no_process(monkeypatch)
+        seq = sq.RadiusSequence(3, 1, straddle(1, half=1000))
+        assert len(seq) * seq.k < sq._SPLIT_CELLS
+        assert sq.verify(seq) == (True, [])
+        if sq.usable_cpus() >= 2:
+            # control: the same word past the split size does fork
+            monkeypatch.setattr(sq, "_SPLIT_CELLS", len(seq))
+            with pytest.raises(AssertionError, match="started a process"):
+                sq.verify(seq)
+
+    def test_one_usable_cpu_starts_no_process(self, monkeypatch):
+        no_process(monkeypatch)
+        monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sq.usable_cpus() == 1
+        assert sq.verify(sq.RadiusSequence(3, 2, straddle(2))) == (True, [])
+
+    def test_other_thread_starts_no_process(self, monkeypatch):
+        no_process(monkeypatch)
+        monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            assert sq.verify(sq.RadiusSequence(3, 2, straddle(3))) == (False, [(0, 2)])
+        finally:
+            release.set()
+            waiter.join(60)
+        assert not waiter.is_alive()
+
+    def test_unflushed_stdout_appears_once(self):
+        # stdout to a pipe is block-buffered (unless PYTHONUNBUFFERED is
+        # set), so "before" is still in the buffer when verify forks
+        code = (
+            "import sys\n"
+            "from radiusseq import sequences as sq\n"
+            "sq._SPLIT_CELLS = 1\n"
+            "sys.stdout.write('before\\n')\n"
+            "print(sq.verify(sq.RadiusSequence(3, 1, (0, 1, 2, 1, 0))))\n"
+        )
+        env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert proc.stdout == "before\n(False, [(0, 2)])\n"
+        assert proc.stderr == ""
 
 
 class TestLowerBound:
