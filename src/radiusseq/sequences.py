@@ -22,7 +22,7 @@ from .errors import AlphabetViolation, NotVerified, OutOfRange, RadiusSeqError
 # symbols per scatter block of verify up to reach 7, fewer beyond: a few
 # small lists, never O(length)
 _VERIFY_BLOCK = 4096
-# length * reach from which verify marks the second half in a forked
+# length * reach from which verify marks the later positions in a forked
 # child; the child's start paid for itself from about 120,000 cells
 _SPLIT_CELLS = 200_000
 # the byte 0 or 1 of a marks cell as the digit "0" or "1"
@@ -99,8 +99,10 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[i
         block = symbols[start:end + reach].tolist()
         scaled = list(map(mul, block[:end - start], repeat(n)))
         cells = []
-        for d in range(1, reach + 1):
-            cells += map(add, scaled, block[d:])
+        # each offset slices only the symbols it pairs, and offsets past
+        # the end of the sequence are skipped, so the work follows the cells
+        for d in range(1, min(reach + 1, len(block))):
+            cells += map(add, scaled, block[d:d + end - start])
         for i in cells:
             marks[i] = 1
     # fold column x (y before x) into row x (x before y), right of the diagonal
@@ -116,7 +118,7 @@ def _send_rows(conn, *args) -> None:
     try:
         conn.send(_marked_rows(*args))
     except (RadiusSeqError, OSError):  # no table, or the parent stopped reading
-        raise SystemExit(1) from None  # quietly: the parent marks this half itself
+        raise SystemExit(1) from None  # quietly: the parent marks these positions itself
 
 
 def _splits(cells: int) -> bool:
@@ -130,6 +132,23 @@ def _splits(cells: int) -> bool:
     )
 
 
+def _balanced_cut(length: int, reach: int) -> int:
+    """The cut that splits the cells min(reach, length-1-i) of the
+    positions i most evenly between i < cut and i >= cut: the two halves
+    differ by at most reach cells. Needs 1 <= reach < length."""
+    full = (length - reach) * reach  # positions with a whole reach
+    total = full + reach * (reach - 1) // 2
+    if 2 * full >= total:
+        # the cut holds cut*reach cells: the nearest to total/2
+        return (total + reach) // (2 * reach)
+    # the last u positions hold u(u-1)/2 cells, u <= reach; take the u
+    # whose u(u-1) lies nearest total
+    u = (1 + math.isqrt(1 + 4 * total)) // 2
+    if (u + 1) * u - total < total - u * (u - 1):
+        u += 1
+    return length - u
+
+
 def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
     """Check the k-radius property by ordered-pair marking plus fold.
 
@@ -141,11 +160,13 @@ def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
     marked by two processes when at least 2 CPUs are usable, the "fork"
     start method exists and this process runs no other thread: at most one
     child, forked so that it inherits the symbols instead of receiving a
-    copy, marks the pairs that start in [L/2, L) in an n*n table of its own
+    copy, marks the pairs that start in [c, L) in an n*n table of its own
     and sends the folded rows back through a pipe, while this process
-    marks [0, L/2). The child is always joined before verify returns. If
-    it exits non-zero or sends nothing, this process marks the second half
-    itself, so the result never rests on the child alone.
+    marks [0, c). The cut c balances the pairs that the two processes
+    look at, min(k, L-1-i) for position i, to within k of each other. The
+    child is always joined before verify returns. If it exits non-zero or
+    sends nothing, this process marks [c, L) itself, so the result never
+    rests on the child alone.
 
     An n*n table that cannot be allocated raises RadiusSeqError.
     """
@@ -158,10 +179,10 @@ def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
     if not _splits(length * reach):
         rows = _marked_rows(symbols, n, reach, 0, length)
     else:
-        half = length // 2
+        cut = _balanced_cut(length, reach)
         context = multiprocessing.get_context("fork")
         receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=_send_rows, args=(sender, symbols, n, reach, half, length))
+        child = context.Process(target=_send_rows, args=(sender, symbols, n, reach, cut, length))
         try:
             child.start()
         except OSError:  # no process could be forked
@@ -169,7 +190,7 @@ def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
         sender.close()
         theirs = None
         try:
-            rows = _marked_rows(symbols, n, reach, 0, half)
+            rows = _marked_rows(symbols, n, reach, 0, cut)
             if child is not None:
                 with suppress(EOFError, OSError):  # no whole message came
                     theirs = receiver.recv()
@@ -178,7 +199,7 @@ def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
             if child is not None:
                 child.join()
         if theirs is None or child.exitcode != 0:
-            theirs = _marked_rows(symbols, n, reach, half, length)
+            theirs = _marked_rows(symbols, n, reach, cut, length)
         rows = list(map(or_, rows, theirs))
     if sum(map(int.bit_count, rows)) == n * (n - 1) // 2:
         return True, []

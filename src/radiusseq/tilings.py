@@ -85,13 +85,6 @@ def locate(y, t: TilingMap) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return z, c
 
 
-def _exponent_map_value(z, qs, p) -> int:
-    out = 1
-    for q, e in zip(qs, z):
-        out = out * pow(q, e, p) % p
-    return out
-
-
 def _cofactors(rows) -> list[list[int]]:
     """Cofactor matrix C of a square integer matrix: rows[a] . C[b] equals
     det(rows) when a == b and 0 otherwise, so C[i] / det is column i of
@@ -148,9 +141,12 @@ def _region_cover(p: int, k: int, region, f: logarithms.LogFn) -> tuple[list[int
     """Multipliers covering H, and the number of tiling translates of f
     meeting the fundamental region."""
     tiling = tiling_from_log(f)
-    translates = {locate(y, tiling)[0] for y in region.values()}
-    qs = numtheory.primes(k)
-    multipliers = sorted({_exponent_map_value(z, qs, p) for z in translates})
+    # y is an exponent vector of h and c is that of the integer m it
+    # locates, so the translate z = y - c maps to h * m^-1 mod p
+    inverse = {c: pow(m, -1, p) for m, c in enumerate(cluster(k).points, 1)}
+    located = [(h, *locate(y, tiling)) for h, y in region.items()]
+    translates = {z for _, z, _ in located}
+    multipliers = sorted({h * inverse[c] % p for h, _, c in located})
     covered = set()
     for d in multipliers:
         covered |= block_A(d, k, p)

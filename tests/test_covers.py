@@ -106,20 +106,47 @@ def shuffled_covers(draw):
     return cv.CoverPlan(p, k, tuple(mult))
 
 
+def check_against_oracle(plan):
+    seq = cv.sequence_from_cover(plan)
+    assert seq.symbols.tolist() == list(splice_oracle(plan))
+    assert len(seq) == len(plan.multipliers) * (plan.p + plan.k - 1) + 1
+    assert sq.verify(seq)[0]
+
+
+def digest(seq):
+    return hashlib.sha256(",".join(map(str, seq.symbols)).encode()).hexdigest()
+
+
 class TestSequenceFromCover:
     @given(shuffled_covers())
     @settings(max_examples=80, deadline=None)
     def test_matches_per_symbol_oracle(self, plan):
-        seq = cv.sequence_from_cover(plan)
-        assert seq.symbols.tolist() == list(splice_oracle(plan))
-        assert len(seq) == len(plan.multipliers) * (plan.p + plan.k - 1) + 1
-        assert sq.verify(seq)[0]
+        check_against_oracle(plan)
+
+    @given(shuffled_covers())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_oracle_with_one_table_copy(self, plan):
+        # a table of one copy of 0..p-1: most segments cross its end
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cv, "_TABLE_REPEATS", 1)
+            check_against_oracle(plan)
+
+    @pytest.mark.parametrize("p", [5, 7, 13, 101, 1009])
+    def test_single_multiplier_plan(self, p):
+        # d = -1 with k = (p-1)/2 covers Z_p* alone; the table is one copy
+        check_against_oracle(cv.CoverPlan(p, (p - 1) // 2, (p - 1,)))
 
     def test_pinned_symbols_p3181_k5(self):
         seq = cv.sequence_from_cover(cv.prime_cover(3181, 5))
-        digest = hashlib.sha256(",".join(map(str, seq.symbols)).encode()).hexdigest()
         assert len(seq) == 1012831
-        assert digest == "b11ac1615162629f00f2b39c7b9a0512b5ee7816bbee1f1d09c026c36295a626"
+        assert digest(seq) == "b11ac1615162629f00f2b39c7b9a0512b5ee7816bbee1f1d09c026c36295a626"
+
+    def test_pinned_symbols_two_radius_p1151(self):
+        # recorded from the splice that reduced one Python int per symbol;
+        # the tiling cover at p = 3359 is pinned in test_tilings.PINNED
+        seq = cv.sequence_from_cover(cv.two_radius_cover(1151))
+        assert len(seq) == 288 * 1152 + 1
+        assert digest(seq) == "e1d5c37cb8057c2d3f94fee6bc06a5b23d263f2e05c3ba8cf3231c60302aa624"
 
     def test_flagship_value(self):
         seq = cv.sequence_from_cover(cv.CoverPlan(5, 2, (1,)))

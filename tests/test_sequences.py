@@ -7,6 +7,7 @@ import sys
 import threading
 import tracemalloc
 from array import array
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings
@@ -43,10 +44,11 @@ def brute_force_missing(seq):
     ]
 
 
-def straddle(gap, half=60):
+def straddle(gap, half=60, cut=None):
     """A word of length 2*half whose only (0, 2) pair has its 0 just
-    before position half and its 2 `gap` symbols later."""
-    return (1,) * (half - 1) + (0,) + (1,) * (gap - 1) + (2,) + (1,) * (half - gap)
+    before position cut (half by default) and its 2 `gap` symbols later."""
+    cut = half if cut is None else cut
+    return (1,) * (cut - 1) + (0,) + (1,) * (gap - 1) + (2,) + (1,) * (2 * half - cut - gap)
 
 
 @st.composite
@@ -169,6 +171,7 @@ def children(monkeypatch):
     class Recorded(context.Process):
         def start(self):
             started.append(self)
+            self.span = self._args[-2:]  # the positions lo..hi-1 it marks
             super().start()
 
     monkeypatch.setattr(context, "Process", Recorded)
@@ -180,6 +183,18 @@ def no_process(monkeypatch):
         raise AssertionError("verify started a process")
 
     monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", refuse)
+
+
+def test_balanced_cut_evens_the_cells():
+    # the cells of position i are min(reach, length-1-i); no cut splits
+    # them more evenly, and the two halves differ by at most reach
+    for length in [*range(2, 60), 120, 997, 3000]:
+        for reach in {1, 2, 3, length // 3, length // 2, 2 * length // 3, length - 1} - {0}:
+            before = list(accumulate((min(reach, length - 1 - i) for i in range(length)), initial=0))
+            total = before[-1]
+            gap = abs(total - 2 * before[sq._balanced_cut(length, reach)])
+            assert gap == min(abs(total - 2 * cells) for cells in before), (length, reach)
+            assert gap <= reach, (length, reach)
 
 
 @pytest.mark.skipif(not FORK, reason="the split needs the fork start method")
@@ -196,9 +211,11 @@ class TestSplitVerify:
     @pytest.mark.parametrize("gap", [1, 2, 3])
     def test_pair_straddling_the_half_is_found(self, monkeypatch, children, gap):
         monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
-        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap))) == (True, [])
-        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1))) == (False, [(0, 2)])
+        cut = sq._balanced_cut(120, gap)
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap, cut=cut))) == (True, [])
+        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1, cut=cut))) == (False, [(0, 2)])
         assert [c.exitcode for c in children] == [0, 0]
+        assert [c.span for c in children] == [(cut, 120)] * 2
 
     @needs_two_cpus
     @pytest.mark.parametrize("sends", [False, True])

@@ -162,6 +162,32 @@ class TestSubgroupCover:
         assert prod_sq <= 2 ** (r * (r - 1) // 2) * ell**2
 
 
+def _admissible_below(k, bound):
+    p = tl.admissible_prime(2, k)
+    while p < bound:
+        yield p
+        p = tl.admissible_prime(p + 1, k)
+
+
+def test_multipliers_match_exponent_map():
+    # Oracle: the exponent map q_1^z_1 ... q_r^z_r mod p of every
+    # translate z that meets the fundamental region, at every admissible
+    # p < 2000 for k <= 10 and every candidate logarithm.
+    checked = 0
+    for k in range(1, 11):
+        qs = nt.primes(k)
+        for p in _admissible_below(k, 2000):
+            region = tl._subgroup_region(p, k)
+            for f in lg.search_many(k, limit=tl.CANDIDATES):
+                tiling = tl.tiling_from_log(f)
+                translates = {tl.locate(y, tiling)[0] for y in region.values()}
+                want = {math.prod(pow(q, e, p) for q, e in zip(qs, z)) % p for z in translates}
+                got = tl._region_cover(p, k, region, f)
+                assert got == (sorted(want), len(translates)), (p, k, f)
+                checked += 1
+    assert checked == 299  # 252 (p, k) pairs
+
+
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
