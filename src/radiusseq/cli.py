@@ -10,6 +10,7 @@ requests produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -84,19 +85,21 @@ def _cmd_verify(args) -> int:
 
 
 def _construct(args):
-    """Returns (sequence, p, tiling_report, cover_plan) for the requested
-    strategy; entries a strategy does not produce are None."""
+    """Returns (sequence, cover_plan, tiling_report) for the requested
+    strategy; the cover strategies splice their plan here, and entries a
+    strategy does not produce are None."""
     n, k = args.n, args.k
     _check_positive("n", n)
     _check_positive("k", k)
-    if args.cover_out and args.strategy not in ("two-radius", "prime"):
+    if args.cover_out and args.strategy in ("naive", "eulerian"):
         raise OutOfRange(f"strategy '{args.strategy}' has no cover plan for --cover-out")
     if args.strategy == "naive":
-        return sequences.naive_sequence(n, k), None, None, None
+        return sequences.naive_sequence(n, k), None, None
     if args.strategy == "eulerian":
         if k != 1:
             raise OutOfRange("strategy 'eulerian' requires k=1")
-        return sequences.one_radius_optimal(n), None, None, None
+        return sequences.one_radius_optimal(n), None, None
+    report = None
     if args.strategy == "two-radius":
         if k != 2:
             raise OutOfRange("strategy 'two-radius' requires k=2")
@@ -104,23 +107,23 @@ def _construct(args):
         while p % 2 == 0 or not numtheory.is_prime(p):
             p += 1
         plan = covers.two_radius_cover(p)
-        return covers.sequence_from_cover(plan), p, None, plan
-    if args.strategy == "prime":
+    elif args.strategy == "prime":
         p = kradius.next_k_radius_prime(n, k, horizon=args.horizon)
         if p is None:
-            return None, None, None, None
+            return None, None, None
         plan = covers.prime_cover(p, k)
-        return covers.sequence_from_cover(plan), p, None, plan
-    # argparse's choices=STRATEGIES leaves "tiling" as the only other value
-    seq, report = tilings.tiling_sequence(n, k)
-    return seq, report.p, report, None
+    else:
+        # argparse's choices=STRATEGIES leaves "tiling" as the only other value
+        plan, report = tilings.tiling_plan(n, k)
+    return covers.sequence_from_cover(plan), plan, report
 
 
 def _cmd_construct(args) -> int:
-    seq, p, report, plan = _construct(args)
+    seq, plan, report = _construct(args)
     if seq is None:
         print(f"no {args.k}-radius prime found at or above {args.n}", file=sys.stderr)
         return 1
+    p = plan.p if plan else None
     if args.shrink and p is not None and p > args.n:
         # a splice of a checked cover needs no verify of its own; the one
         # below checks the shrunk sequence, which is what gets printed
@@ -142,16 +145,8 @@ def _cmd_construct(args) -> int:
             "symbols": None,
         }
         if report is not None:
-            obj["report"] = {
-                "p": report.p,
-                "k": report.k,
-                "subgroup_order": report.subgroup_order,
-                "coset_count": report.coset_count,
-                "translate_count": report.translate_count,
-                "cover_size": report.cover_size,
-                "seq_length": report.seq_length,
-                "ratio_to_lower_bound": float(report.ratio_to_lower_bound),
-            }
+            obj["report"] = {**dataclasses.asdict(report),
+                             "ratio_to_lower_bound": float(report.ratio_to_lower_bound)}
         _write(args.output, _json_with_symbols(obj, seq.symbols))
     else:
         comments = [f"strategy={args.strategy} length={len(seq)}"]

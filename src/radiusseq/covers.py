@@ -40,6 +40,11 @@ class CoverPlan:
         if any(not 1 <= d <= self.p - 1 for d in self.multipliers):
             raise ValueError("multipliers must lie in [1, p-1]")
 
+    @property
+    def length(self) -> int:
+        """|D|(p+k-1)+1, the length of the plan's spliced sequence."""
+        return len(self.multipliers) * (self.p + self.k - 1) + 1
+
 
 def block_B(d: int, k: int, p: int) -> set[int]:
     """The 2k-element set d*{+-1,...,+-k} mod p: block_A and its negations."""
@@ -79,7 +84,7 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     ``table[s : s + m*d : d]`` is m consecutive terms of the step-d
     progression from residue s. The array copies them in C, so no int is
     made per symbol, and a segment takes about d/_TABLE_REPEATS slices.
-    The result has length exactly |D|(p+k-1)+1.
+    The result has length exactly ``plan.length``, |D|(p+k-1)+1.
     """
     ok, _ = verify_cover(plan)
     if not ok:
@@ -103,8 +108,8 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
         start = (a + p + k - 1) * d % p
         lo = 1
     seq = RadiusSequence(p, k, symbols)
-    if len(seq) != len(plan.multipliers) * (p + k - 1) + 1:
-        raise AssertionError("constructed length deviates from |D|(p+k-1)+1")
+    if len(seq) != plan.length:
+        raise AssertionError("constructed length deviates from plan.length")
     return seq
 
 
@@ -145,15 +150,6 @@ def two_radius_cover(p: int) -> CoverPlan:
         c * pow(2, 2 * i, p) % p for c in coset_minima(p, powers) for i in range(steps)
     )
     return CoverPlan(p, 2, multipliers)
-
-
-def two_radius_cover_size(p: int) -> int:
-    """Closed-form size of the two_radius_cover plan."""
-    order = numtheory.multiplicative_order(2, p)
-    t = (p - 1) // order
-    if order % 2 == 1:
-        return (t // 2) * ((order + 1) // 2)
-    return t * (-(-order // 4))
 
 
 def prime_cover(p: int, k: int) -> CoverPlan:

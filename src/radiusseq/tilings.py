@@ -186,19 +186,19 @@ class TilingReport:
     ratio_to_lower_bound: Fraction
 
 
-def tiling_sequence(
+def tiling_plan(
     n: int, k: int, f: logarithms.LogFn | None = None
-) -> tuple[RadiusSequence, TilingReport]:
-    """Full pipeline: admissible prime, subgroup cover, coset assembly.
+) -> tuple[CoverPlan, TilingReport]:
+    """Full pipeline up to the splice: admissible prime, subgroup cover,
+    coset assembly.
 
-    Returns a p-ary k-radius sequence (p the chosen prime >= n) together
-    with measurements; the ratio compares the length against C(n,2)/k.
-    The sequence is not verified here: the CLI `construct` path runs
-    `sequences.verify` on it. When no logarithm is supplied, the first
-    CANDIDATES search representatives are compared by measured
-    translate count (then cover size) and the best one is used; the count
-    depends only on the tiling lattice, so scalar-equivalent logarithms
-    measure alike.
+    Returns a cover plan of Z_p* (p the chosen prime >= n) together with
+    measurements; the length and the ratio, which compares it against
+    C(n,2)/k, are the plan's, so no symbol is made. When no logarithm is
+    supplied, the first CANDIDATES search representatives are compared by
+    measured translate count (then cover size) and the best one is used;
+    the count depends only on the tiling lattice, so scalar-equivalent
+    logarithms measure alike.
     """
     if n < 2:
         raise OutOfRange("n must be >= 2")
@@ -224,7 +224,6 @@ def tiling_sequence(
     if 2 * len(reps) * ell != p - 1:
         raise AssertionError("coset decomposition of Z_p* is inconsistent")
     plan = CoverPlan(p, k, tuple(c * d % p for c in reps for d in multipliers))
-    seq = sequence_from_cover(plan)
     report = TilingReport(
         p=p,
         k=k,
@@ -232,7 +231,16 @@ def tiling_sequence(
         coset_count=(p - 1) // ell,
         translate_count=w,
         cover_size=len(plan.multipliers),
-        seq_length=len(seq),
-        ratio_to_lower_bound=Fraction(len(seq) * k, math.comb(n, 2)),
+        seq_length=plan.length,
+        ratio_to_lower_bound=Fraction(plan.length * k, math.comb(n, 2)),
     )
-    return seq, report
+    return plan, report
+
+
+def tiling_sequence(
+    n: int, k: int, f: logarithms.LogFn | None = None
+) -> tuple[RadiusSequence, TilingReport]:
+    """tiling_plan's plan spliced into a p-ary k-radius sequence, and its
+    report. The sequence is not verified here."""
+    plan, report = tiling_plan(n, k, f)
+    return sequence_from_cover(plan), report

@@ -11,6 +11,7 @@ import pytest
 from radiusseq import cli
 from radiusseq import covers as cv
 from radiusseq import sequences as sq
+from radiusseq import tilings as tl
 
 
 def run_cli(capsys, *argv):
@@ -73,8 +74,9 @@ class TestConstruct:
             ("--n", "20", "--k", "2", "--strategy", "two-radius", "--shrink"),
             ("--n", "7", "--k", "3", "--strategy", "prime"),
             ("--n", "20", "--k", "2", "--strategy", "tiling"),
+            ("--n", "200", "--k", "6", "--strategy", "tiling", "--shrink"),
         ],
-        ids=["prime-shrink", "two-radius-shrink", "prime", "tiling"],
+        ids=["prime-shrink", "two-radius-shrink", "prime", "tiling", "tiling-shrink"],
     )
     def test_verifies_once(self, capsys, monkeypatch, argv):
         calls = []
@@ -124,6 +126,7 @@ class TestConstruct:
         [
             (7, 3, "prime", lambda: cv.prime_cover(7, 3)),
             (11, 2, "two-radius", lambda: cv.two_radius_cover(11)),
+            (200, 6, "tiling", lambda: tl.tiling_plan(200, 6)[0]),
         ],
     )
     def test_cover_out_reuses_plan(self, tmp_path, capsys, n, k, strategy, plan):
@@ -403,16 +406,12 @@ class TestUsageErrors:
             (("construct", "--n", "20", "--k", "1", "--strategy", "eulerian",
               "--cover-out", os.devnull),
              "strategy 'eulerian' has no cover plan for --cover-out"),
-            (("construct", "--n", "20", "--k", "2", "--strategy", "tiling",
-              "--cover-out", os.devnull),
-             "strategy 'tiling' has no cover plan for --cover-out"),
         ],
         ids=["tiling-n1", "construct-k0", "construct-n0", "scan-k0",
              "scan-limit1", "count-k43", "density-k50", "density-k0",
              "count-k0", "search-k0", "next-k0", "count-workers-neg",
              "scan-workers-neg", "density-workers0", "tiling-k0", "verify-n0",
-             "verify-k0", "naive-cover-out", "eulerian-cover-out",
-             "tiling-cover-out"],
+             "verify-k0", "naive-cover-out", "eulerian-cover-out"],
     )
     def test_exit_two_with_one_error_line(self, capsys, argv, message):
         code, out, err = run_cli(capsys, *argv)

@@ -300,3 +300,5 @@ def test_pinned_report_and_symbols(n, k, explicit, report, digest):
     seq, rep = tl.tiling_sequence(n, k, lg.search(k) if explicit else None)
     assert rep == tl.TilingReport(*report)
     assert hashlib.sha256(",".join(map(str, seq.symbols)).encode()).hexdigest() == digest
+    plan, plan_rep = tl.tiling_plan(n, k, lg.search(k) if explicit else None)
+    assert plan_rep == rep and plan.length == len(seq)
