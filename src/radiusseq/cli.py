@@ -51,10 +51,7 @@ def _json_with_symbols(obj: dict, symbols):
     with `symbols` as the list at key "symbols" (None in `obj`)."""
     head, _, tail = json.dumps(obj, sort_keys=True).partition('"symbols": null')
     yield head + '"symbols": ['
-    sep = ""
-    for run in sequences.symbol_runs(symbols):
-        yield sep + run
-        sep = ", "
+    yield from sequences.symbol_runs(symbols, ", ")
     yield "]" + tail + "\n"
 
 

@@ -303,11 +303,23 @@ def _drop_frequent(seq: RadiusSequence, x: int) -> RadiusSequence:
     return RadiusSequence(seq.n - x, seq.k, symbols)
 
 
-def symbol_runs(symbols: array):
-    """Yield the symbols as ``"a, b, c"`` runs of _WRITE_CHUNK symbols each,
-    the items of a JSON or Python list without its brackets."""
+class _Names(dict):
+    """Decimal names of symbols, each made on first use, so a sequence
+    costs one str per distinct symbol, not one per position."""
+
+    def __missing__(self, s: int) -> str:
+        name = self[s] = str(s)
+        return name
+
+
+def symbol_runs(symbols: array, sep: str):
+    """Yield ``sep.join`` of the symbols' decimal names in pieces of at most
+    _WRITE_CHUNK symbols; every piece after the first starts with `sep`."""
+    names = _Names()
+    lead = ""
     for start in range(0, len(symbols), _WRITE_CHUNK):
-        yield str(symbols[start:start + _WRITE_CHUNK].tolist())[1:-1]
+        yield lead + sep.join(map(names.__getitem__, symbols[start:start + _WRITE_CHUNK]))
+        lead = sep
 
 
 def format_sequence(seq: RadiusSequence, comments: list[str] | None = None):
@@ -318,10 +330,7 @@ def format_sequence(seq: RadiusSequence, comments: list[str] | None = None):
     for c in comments or []:
         yield f"# {c}\n"
     yield f"n={seq.n} k={seq.k}\n"
-    sep = ""
-    for run in symbol_runs(seq.symbols):
-        yield sep + run.replace(",", "")
-        sep = " "
+    yield from symbol_runs(seq.symbols, " ")
     yield "\n"
 
 

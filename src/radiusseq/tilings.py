@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import add, floordiv, mod, mul, sub
 
 from . import logarithms, numtheory
-from .covers import CoverPlan, block_A, coset_minima, sequence_from_cover
+from .covers import CoverPlan, coset_minima, sequence_from_cover
 from .errors import BadPrime, NotBijective, OutOfRange
 from .sequences import RadiusSequence
 
@@ -98,18 +100,29 @@ def _cofactors(rows) -> list[list[int]]:
     return cof
 
 
-def _reduce(v, rows, cof, det) -> tuple[int, ...]:
-    """v minus sum(floor(c_i) * rows[i]), where c = v * rows^-1.
+def _combine(cols, weights, n: int):
+    """sum(w * col) over the columns, point by point for n points: a lazy
+    C-level map with no Python loop per point."""
+    acc = None
+    for w, col in zip(weights, cols):
+        if w:
+            term = map(mul, col, repeat(w))
+            acc = term if acc is None else map(add, acc, term)
+    return repeat(0, n) if acc is None else acc
+
+
+def _reduce(cols, rows, cof, det) -> list[list[int]]:
+    """The points v minus sum(floor(c_i) * rows[i]), where c = v * rows^-1,
+    given and returned as one column per coordinate.
 
     Each c_i is the integer v . cof[i] over det, and `//` floors for either
-    sign of det, so the result lies in the fundamental parallelepiped.
+    sign of det, so every result lies in the fundamental parallelepiped.
+    All floors are taken from the unreduced columns.
     """
-    red = list(v)
-    for row, col in zip(rows, cof):
-        fl = sum(x * y for x, y in zip(v, col)) // det
-        if fl:
-            red = [x - fl * y for x, y in zip(red, row)]
-    return tuple(red)
+    n = len(cols[0]) if cols else 0
+    floors = [list(map(floordiv, _combine(cols, c, n), repeat(det))) for c in cof]
+    return [list(map(sub, col, _combine(floors, weights, n)))
+            for col, weights in zip(cols, zip(*rows))]
 
 
 def _subgroup_region(p: int, k: int) -> dict[int, tuple[int, ...]]:
@@ -131,7 +144,9 @@ def _subgroup_region(p: int, k: int) -> dict[int, tuple[int, ...]]:
     if abs(det) != len(vec_of):
         raise AssertionError("lattice determinant does not match |H|")
     cof = _cofactors(lattice.rows)
-    region = {h: _reduce(v, lattice.rows, cof, det) for h, v in vec_of.items()}
+    cols = _reduce(list(zip(*vec_of.values())), lattice.rows, cof, det)
+    # k = 1 has no coordinates: H = {1} and its one point is ()
+    region = dict(zip(vec_of, zip(*cols) if cols else [()]))
     if len(set(region.values())) != len(region):
         raise AssertionError("fundamental region misses cosets")
     return region
@@ -141,15 +156,21 @@ def _region_cover(p: int, k: int, region, f: logarithms.LogFn) -> tuple[list[int
     """Multipliers covering H, and the number of tiling translates of f
     meeting the fundamental region."""
     tiling = tiling_from_log(f)
-    # y is an exponent vector of h and c is that of the integer m it
-    # locates, so the translate z = y - c maps to h * m^-1 mod p
+    # Per psi-value tables: the cluster point c that locates a point y of
+    # that value, and m^-1 mod p for the integer m whose exponent vector
+    # is c. The translate z = y - c then maps to h * m^-1 mod p.
     inverse = {c: pow(m, -1, p) for m, c in enumerate(cluster(k).points, 1)}
-    located = [(h, *locate(y, tiling)) for h, y in region.items()]
-    translates = {z for _, z, _ in located}
-    multipliers = sorted({h * inverse[c] % p for h, _, c in located})
+    cells = [tiling.inverse_table[val] for val in range(k)]
+    inv = [inverse[c] for c in cells]
+    cols = list(zip(*region.values()))
+    vals = list(map(mod, _combine(cols, tiling.psi_values, len(region)), repeat(k)))
+    zcols = [map(sub, col, map(coord.__getitem__, vals)) for col, coord in zip(cols, zip(*cells))]
+    # k = 1: no coordinates, and the one point () lies in the translate ()
+    translates = set(zip(*zcols)) if zcols else {()}
+    multipliers = sorted(set(map(mod, map(mul, region, map(inv.__getitem__, vals)), repeat(p))))
     covered = set()
-    for d in multipliers:
-        covered |= block_A(d, k, p)
+    for m in range(1, k + 1):
+        covered.update(map(mod, map(mul, multipliers, repeat(m)), repeat(p)))
     if not region.keys() <= covered:
         raise AssertionError("multiplier blocks fail to cover the subgroup")
     return multipliers, len(translates)

@@ -188,6 +188,25 @@ def test_multipliers_match_exponent_map():
     assert checked == 299  # 252 (p, k) pairs
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_region_cover_matches_locate_in_low_rank(k):
+    # r = pi(k) is 0, 1 and 2 here. Oracle: locate each region point on
+    # its own; the point y of h lies in the translate z of the cluster
+    # point c of some m in 1..k, and that translate maps to h * m^-1.
+    m_of = {c: m for m, c in enumerate(tl.cluster(k).points, 1)}
+    for p in itertools.islice(_admissible_below(k, 2000), 4):
+        region = tl._subgroup_region(p, k)
+        assert len(region) == len(nt.relation_lattice(nt.primes(k), p)[1])
+        f = lg.search(k)
+        tiling = tl.tiling_from_log(f)
+        located = [(h, *tl.locate(y, tiling)) for h, y in region.items()]
+        want = sorted({h * pow(m_of[c], -1, p) % p for h, _, c in located})
+        w = len({z for _, z, _ in located})
+        assert tl._region_cover(p, k, region, f) == (want, w), (p, k)
+        if k == 1:
+            assert region == {1: ()} and w == 1
+
+
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
@@ -205,24 +224,27 @@ class TestIntegerReduction:
     @given(_nonsingular_bases(), st.data())
     def test_reduce_matches_rational_floor(self, rows, data):
         r = len(rows)
-        v = data.draw(st.tuples(*[st.integers(-60, 60)] * r))
+        batch = data.draw(st.lists(st.tuples(*[st.integers(-60, 60)] * r), min_size=1, max_size=8))
         det = nt.determinant(rows)
         cof = tl._cofactors(rows)
         for a in range(r):
             for b in range(r):
                 assert _dot(rows[a], cof[b]) == (det if a == b else 0)
-        red = tl._reduce(v, rows, cof, det)
+        # _reduce takes and returns one column per coordinate.
+        reduced = list(zip(*tl._reduce(list(zip(*batch)), rows, cof, det)))
+        assert len(reduced) == len(batch)
         sign = 1 if det > 0 else -1
-        for col in cof:
-            # red sits in the fundamental parallelepiped ...
-            assert 0 <= _dot(red, col) * sign < abs(det)
-            # ... and differs from v by a lattice vector.
-            assert _dot([x - y for x, y in zip(v, red)], col) % det == 0
-        # Oracle: the floors of the rational coordinates v * rows^-1.
-        coeffs = [Fraction(_dot(v, col), det) for col in cof]
-        want = [x - sum(math.floor(c) * row[j] for c, row in zip(coeffs, rows))
-                for j, x in enumerate(v)]
-        assert red == tuple(want)
+        for v, red in zip(batch, reduced):
+            for col in cof:
+                # red sits in the fundamental parallelepiped ...
+                assert 0 <= _dot(red, col) * sign < abs(det)
+                # ... and differs from v by a lattice vector.
+                assert _dot([x - y for x, y in zip(v, red)], col) % det == 0
+            # Oracle: the floors of the rational coordinates v * rows^-1.
+            coeffs = [Fraction(_dot(v, col), det) for col in cof]
+            want = [x - sum(math.floor(c) * row[j] for c, row in zip(coeffs, rows))
+                    for j, x in enumerate(v)]
+            assert red == tuple(want)
 
     @pytest.mark.parametrize("n,k", [(239, 6), (1000, 6), (1000, 10)])
     def test_region_is_one_point_per_lattice_coset(self, n, k):
@@ -302,3 +324,20 @@ def test_pinned_report_and_symbols(n, k, explicit, report, digest):
     assert hashlib.sha256(",".join(map(str, seq.symbols)).encode()).hexdigest() == digest
     plan, plan_rep = tl.tiling_plan(n, k, lg.search(k) if explicit else None)
     assert plan_rep == rep and plan.length == len(seq)
+
+
+# Larger cases, pinned by report and plan digest only (no splice): the
+# plan fixes the symbols, and hashing the multipliers keeps these fast.
+PINNED_PLANS = [
+    (4200, 8, (5039, 8, 2519, 2, 661, 629, 3173935, Fraction(1269574, 440895)),
+     "96dcb3b86da7ea0d4058b2fec40879b9e0831c4a6d988deb4617c1e44da732ef"),
+    (3000, 12, (9239, 12, 4619, 2, 1200, 1147, 10609751, Fraction(10609751, 374875)),
+     "032572f9d3295378f1f6e858e1048c1331e5b8afd8cef2876b215386128073f8"),
+]
+
+
+@pytest.mark.parametrize("n,k,report,digest", PINNED_PLANS)
+def test_pinned_report_and_plan(n, k, report, digest):
+    plan, rep = tl.tiling_plan(n, k)
+    assert rep == tl.TilingReport(*report)
+    assert hashlib.sha256(",".join(map(str, plan.multipliers)).encode()).hexdigest() == digest
