@@ -6,11 +6,16 @@ A logarithm is a bijective logarithmic function.
 
 One backtracking engine walks the representatives of the symmetry
 classes (value-sorted blocks of interchangeable primes, f(2) scaled onto
-a divisor of k) and has two uses: counting weights each representative
-by its exact class size, which reproduces the known counts for k <= 42,
-and stops before the top block of primes above k/2 (they take the values
-left over in increasing order) instead of walking it; search returns the
-first representative (or the first N). A count is
+a divisor of k). Each node of the walk holds the values taken so far as
+the bits of an int and reduces a prime q's candidates to one k-bit mask,
+an AND of the free values rotated right by f(m/q) for each index m that q
+fixes, so dead ends are cut before they are entered. The walk stops at its last prime with that
+prime's mask, which serves two uses: counting adds the mask's popcount
+times each representative's exact class size, which reproduces the known
+counts for k <= 42, and stops before the top block of primes above k/2
+(they take the values left over in increasing order) instead of walking
+it; search takes the mask's values in ascending order and returns the
+first representative (or the first N) in lexicographic order. A count is
 a sum of one task per value of f(2), and `pool_map` runs those tasks,
 like the shards of a prime scan, in-process or in a process pool.
 `dlog_logfn` reads the function q -> dlog(q) mod k off the k-th power
@@ -23,7 +28,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import islice, permutations
+from itertools import permutations
 
 from . import numtheory
 from .errors import BudgetExceeded, CountingError, NotBijective, OutOfRange
@@ -137,34 +142,39 @@ def _parity_targets(k: int, cls: str) -> set[int]:
 
 
 def _prime_tables(k: int, qs: list[int], targets: set[int]):
-    """Per prime q <= k, the indices m <= k that its value moves.
+    """Per prime q <= k, the indices m <= k whose values it fixes.
 
-    Returns (new_items, mult_items). new_items[j] holds (m, e, m in
-    targets) for each m whose largest prime factor is qs[j], i.e. the
-    values fixed once qs[j] is assigned; mult_items[j] holds (m, e) for
-    every multiple m of qs[j]. In both, e is the exponent of qs[j] in m.
+    new_items[j] holds (m, s, e, m in targets) for each m whose largest
+    prime factor is qs[j], where e is the exponent of qs[j] in m and
+    s = m // qs[j]**e is already fixed by the smaller primes, so that
+    f(m) = f(s) + e * f(qs[j]).
     """
     spf = numtheory.spf_table(k)
     lpf = [0] * (k + 1)
     for m in range(2, k + 1):
         lpf[m] = max(lpf[m // spf[m]], spf[m])
-    new_items: list[list[tuple[int, int, bool]]] = []
-    mult_items: list[list[tuple[int, int]]] = []
+    new_items: list[list[tuple[int, int, int, bool]]] = []
     for q in qs:
         new = []
-        mult = []
         for m in range(q, k + 1, q):
+            if lpf[m] != q:
+                continue
             e = 0
-            t = m
-            while t % q == 0:
-                t //= q
+            s = m
+            while s % q == 0:
+                s //= q
                 e += 1
-            mult.append((m, e))
-            if lpf[m] == q:
-                new.append((m, e, m in targets))
+            new.append((m, s, e, m in targets))
         new_items.append(new)
-        mult_items.append(mult)
-    return new_items, mult_items
+    return new_items
+
+
+def _bits(mask: int):
+    """The set bits of mask, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -189,12 +199,20 @@ def pool_map(fn, tasks: list, workers: int) -> list:
 class _Engine:
     """Backtracking search over prime values with symmetry breaking.
 
-    Values are assigned in ascending prime order; after each assignment
-    the components at newly-smooth indices are checked for repeats (and
-    for the parity conditions of the requested class). Within a block the
-    values must increase, f(2) must divide k, and in search mode f(3) is
-    forced minimal under the scalars fixing f(2). Counting and searching
-    are loops over the one walk in `_leaves`.
+    Values are assigned in ascending prime order. The values taken so far
+    (f(1) = 0 and every index whose largest prime factor is assigned) are
+    the bits of an int passed down the walk, and each node computes the
+    k-bit mask of the values its prime can still take: an index m that the
+    prime q fixes with exponent 1 takes f(m/q) + f(q), so the free values
+    rotated right by f(m/q) (the even free values, where the class needs
+    f(m) even) hold the allowed f(q); the mask is the AND of these
+    rotations and of the base set: f(2) a divisor of k, f(3) minimal under
+    the scalars fixing f(2) when enforced (cached per f(2)), and within a
+    block values above the previous prime's. Values fixed with e > 1 (only
+    for q <= sqrt(k)) are checked one candidate at a time. Two e = 1
+    indices never share a base value, as those bases are distinct indices
+    already fixed injectively. Counting and searching are loops over the
+    one walk in `_leaves`.
     """
 
     def __init__(self, k: int, cls: str, enforce_f3: bool):
@@ -215,9 +233,16 @@ class _Engine:
         self.singleton_idx = [
             qidx[b[0]] for b in part.blocks if len(b) == 1
         ]
-        self.new_items, self.mult_items = _prime_tables(
-            k, self.qs, _parity_targets(k, cls)
-        )
+        new_items = _prime_tables(k, self.qs, _parity_targets(k, cls))
+        # Per prime, the bases s of the indices it fixes with e = 1: those
+        # with any value, then those whose index needs an even value.
+        self.plain = [[s for _, s, e, ev in new if e == 1 and not ev] for new in new_items]
+        self.evens = [[s for _, s, e, ev in new if e == 1 and ev] for new in new_items]
+        # The indices fixed with e > 1, and those whose value a later
+        # prime reads as a base.
+        self.heavy = [[item for item in new if item[2] > 1] for new in new_items]
+        bases = {s for new in new_items for _, s, _, _ in new}
+        self.keep = [[(m, s, e) for m, s, e, _ in new if m in bases] for new in new_items]
         # The tail: the last primes whose value moves their own index alone
         # (2q > k), with all of Z_k as candidates (not f(2), nor f(3) when
         # it is forced minimal) and no block reaching below them. Once the
@@ -228,8 +253,7 @@ class _Engine:
         tail = self.r
         first_free = 2 if enforce_f3 else 1
         while tail > first_free and (
-            self.new_items[tail - 1] == [(self.qs[tail - 1], 1, False)]
-            and self.mult_items[tail - 1] == [(self.qs[tail - 1], 1)]
+            new_items[tail - 1] == [(self.qs[tail - 1], 1, 1, False)]
         ):
             tail -= 1
         while any(0 <= self.pred[j] < tail for j in range(tail, self.r)):
@@ -240,12 +264,16 @@ class _Engine:
         # so they form one block and take the values left over in the one
         # increasing order.
         self.tail_singles = [j for j in self.singleton_idx if j >= tail]
-        self.f2_candidates = [d for d in numtheory.divisors(k) if d < k]
+        self.full = (1 << k) - 1
+        self.even_values = sum(1 << v for v in range(0, k, 2))
+        self.f2_mask = sum(1 << d for d in numtheory.divisors(k) if d < k)
         self.units = [a for a in range(1, k) if math.gcd(a, k) == 1]
         self._stab_cache: dict[int, list[int]] = {}
-        self.partial = [0] * (k + 1)
-        self.used = bytearray(k)
-        self.used[0] = 1  # f(1) = 0 is always taken
+        self._f3_cache: dict[int, int] = {}
+        self.value = [0] * (k + 1)
+        # Per prime, the values f(m/q) of its e = 1 bases as bits, twice
+        # over (bits v and v + k), so that a shift rotates them; see _take.
+        self.spread = [0] * self.r
         self.assigned = [0] * self.r
 
     def _stab(self, f2: int) -> list[int]:
@@ -255,94 +283,159 @@ class _Engine:
             self._stab_cache[f2] = cached
         return cached
 
-    def _candidates(self, j: int) -> list[int]:
+    def _f3_mask(self, f2: int) -> int:
+        # f(3) minimal in its orbit under the scalars fixing f(2)
+        cached = self._f3_cache.get(f2)
+        if cached is None:
+            k = self.k
+            stab = self._stab(f2)
+            cached = sum(
+                1 << v for v in range(k) if all(a * v % k >= v for a in stab)
+            )
+            self._f3_cache[f2] = cached
+        return cached
+
+    def _mask(self, j: int, used: int, prefix: tuple[int, ...]) -> int:
+        """The values prime j can take, as bits, with `used` taken so far;
+        the value in `prefix` is the only candidate when j < len(prefix)."""
         k = self.k
         q = self.qs[j]
-        if q == 2:
-            base = self.f2_candidates
+        if j < len(prefix):
+            mask = 1 << prefix[j]
+        elif q == 2:
+            mask = self.f2_mask
         elif q == 3 and self.enforce_f3:
-            stab = self._stab(self.assigned[0])
-            base = [
-                v for v in range(k) if all(a * v % k >= v for a in stab)
-            ]
+            mask = self._f3_mask(self.assigned[0])
         else:
-            base = range(k)
+            mask = self.full
         if self.pred[j] >= 0:
             lo = self.assigned[self.pred[j]] + 1
-            return [v for v in base if v >= lo]
-        return list(base)
+            mask = mask >> lo << lo
+        value = self.value
+        spread = 0
+        free = self.full ^ used
+        for bases, ok in ((self.plain[j], free), (self.evens[j], free & self.even_values)):
+            twice = ok | ok << k
+            for s in bases:
+                c = value[s]
+                spread |= 1 << c
+                mask &= twice >> c
+        self.spread[j] = spread | spread << k
+        if self.heavy[j]:
+            mask = sum(1 << v for v in _bits(mask) if self._take(j, v, used))
+        return mask
+
+    def _take(self, j: int, v: int, used: int) -> int:
+        """Fix the indices of prime j for f(qs[j]) = v; return `used` with
+        their values added, or 0 when a value fixed with e > 1 is taken or
+        breaks parity. The e = 1 values, f(m/q) + v, are `spread` rotated
+        left by v, and `_mask` has already checked them."""
+        k = self.k
+        value = self.value
+        used |= self.spread[j] >> (k - v) & self.full
+        for _, s, e, needs_even in self.heavy[j]:
+            val = (value[s] + e * v) % k
+            bit = 1 << val
+            if used & bit or (needs_even and val & 1):
+                return 0
+            used |= bit
+        for m, s, e in self.keep[j]:
+            value[m] = (value[s] + e * v) % k
+        return used
 
     def _check_representative(self):
         # The scalars fixing f(2) must move the singleton-prime values to
         # pairwise distinct vectors, otherwise a class would be counted
-        # more than once.
+        # more than once. They form a group, so two of them agree on the
+        # vector exactly when one scalar other than 1 fixes every value.
         k = self.k
         sing = [self.assigned[j] for j in self.singleton_idx]
-        seen = set()
-        for a in self._stab(self.assigned[0]):
-            t = tuple(a * s % k for s in sing)
-            if t in seen:
+        for a in self._stab(self.assigned[0])[1:]:
+            if all(a * s % k == s for s in sing):
                 raise CountingError(
                     f"singleton values {sing} collide under scaling (k={k})"
                 )
-            seen.add(t)
 
-    def _leaves(self, j: int, depth: int, prefix: tuple[int, ...] = ()):
-        """Yield once per surviving assignment of primes j..depth-1.
+    def _leaves(self, depth: int, prefix: tuple[int, ...] = ()):
+        """Yield (mask, used) once per surviving assignment of primes
+        0..depth-2 that leaves prime depth-1 some value: mask holds those
+        values, and used the values taken before it (bit 0 is f(1) = 0).
 
         While the generator is suspended the assignment is in
-        self.assigned[:depth]; values given in `prefix` are forced rather
-        than enumerated. A walk run to the end restores the state.
+        self.assigned[:depth-1]; values given in `prefix` are forced rather
+        than enumerated. Each level keeps the values it has yet to try.
         """
-        if j == depth:
-            yield
-            return
-        k = self.k
-        partial = self.partial
-        used = self.used
-        mult = self.mult_items[j]
-        cands = (prefix[j],) if j < len(prefix) else self._candidates(j)
-        for v in cands:
-            vals = []
-            for m, e, needs_even in self.new_items[j]:
-                val = (partial[m] + e * v) % k
-                if used[val] or (needs_even and val & 1):
-                    break
-                used[val] = 1
-                vals.append(val)
-            else:
-                for m, e in mult:
-                    partial[m] = (partial[m] + e * v) % k
-                self.assigned[j] = v
-                yield from self._leaves(j + 1, depth, prefix)
-                for m, e in mult:
-                    partial[m] = (partial[m] - e * v) % k
-            for val in vals:
-                used[val] = 0
+        last = depth - 1
+        assigned = self.assigned
+        masks = [0] * depth
+        useds = [1] * depth
+        masks[0] = self._mask(0, 1, prefix)
+        j = 0
+        while j >= 0:
+            mask = masks[j]
+            if j == last or not mask:
+                if mask:
+                    yield mask, useds[j]
+                j -= 1
+                continue
+            low = mask & -mask
+            masks[j] = mask ^ low
+            v = low.bit_length() - 1
+            assigned[j] = v
+            used = self._take(j, v, useds[j])
+            j += 1
+            useds[j] = used
+            masks[j] = self._mask(j, used, prefix)
 
     def _logfn(self) -> LogFn:
         return eval_vector(self.k, dict(zip(self.qs, self.assigned)))
 
     def count(self, f2: int) -> int:
         """Number of class members with f(2) = f2: each representative
-        stands for phi(k/f2) scalings times the block orderings."""
+        stands for phi(k/f2) scalings times the block orderings.
+
+        Each node of the walk adds weight times the values its last prime
+        can take, and the representative check runs once per distinct
+        singleton assignment: once per node, or once per value when the
+        last walked prime or a tail prime is a singleton.
+        """
         k = self.k
-        used = self.used
         assigned = self.assigned
         singles = self.tail_singles
+        last = self.tail - 1
+        per_value = bool(singles) or last in self.singleton_idx
         weight = numtheory.euler_phi(k // f2) * self.block_fact
         total = 0
-        for _ in self._leaves(0, self.tail, (f2,)):
-            free = [v for v in range(k) if not used[v]] if singles else ()
-            for vals in permutations(free, len(singles)):
-                for j, v in zip(singles, vals):
-                    assigned[j] = v
+        for mask, used in self._leaves(self.tail, (f2,)):
+            if not per_value:
                 self._check_representative()
-                total += weight
+                total += weight * mask.bit_count()
+                continue
+            for v in _bits(mask):
+                assigned[last] = v
+                if singles:
+                    taken = self._take(last, v, used)
+                    free = [u for u in range(k) if not taken >> u & 1]
+                else:
+                    free = ()
+                for vals in permutations(free, len(singles)):
+                    for j, u in zip(singles, vals):
+                        assigned[j] = u
+                    self._check_representative()
+                    total += weight
         return total
 
     def search_many(self, limit: int) -> list[LogFn]:
-        return [self._logfn() for _ in islice(self._leaves(0, self.r), limit)]
+        if not self.r:
+            return [self._logfn()]
+        found = []
+        for mask, _ in self._leaves(self.r):
+            for v in _bits(mask):
+                self.assigned[-1] = v
+                found.append(self._logfn())
+                if len(found) == limit:
+                    return found
+        return found
 
 
 def search(k: int, cls: str = LOG) -> LogFn | None:
@@ -374,13 +467,16 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
     The count is a sum of one task per divisor f(2) < k, run by `pool_map`
     on at most `workers` processes (prime k has one task and runs
     in-process). Each search representative contributes phi(k/f(2)) times
-    the product of the block-size factorials. The walk stops before the
-    primes q > k/2 whose value moves index q alone: they share one block,
-    so the values still unused go to them in increasing order, and only
-    the values of singleton blocks among them are enumerated, for the
-    representative check. A k below 1, workers below 1 or a k above the
-    budget ceiling raise OutOfRange (BudgetExceeded for the budget), in
-    that order; results are identical for any worker count.
+    the product of the block-size factorials, and the walk adds these for
+    all values of its last prime at once, by the popcount of that prime's
+    candidate mask. The walk stops before the primes q > k/2 whose value
+    moves index q alone: they share one block, so the values still unused
+    go to them in increasing order, and only the values of singleton
+    blocks among them are enumerated. The representative check (no two
+    scalars fixing f(2) move the singleton values alike) runs once per
+    distinct singleton assignment. A k below 1, workers below 1 or a k
+    above the budget ceiling raise OutOfRange (BudgetExceeded for the
+    budget), in that order; results are identical for any worker count.
     """
     if cls not in CLASSES:
         raise ValueError(f"unknown class {cls!r}")

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import os
@@ -9,7 +10,7 @@ from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
 from radiusseq import numtheory as nt
 from radiusseq import sequences as sq
-from radiusseq.errors import BudgetExceeded, OutOfRange
+from radiusseq.errors import BudgetExceeded, CountingError, OutOfRange
 
 from reference_counts import KNOWN_LOG, KNOWN_SPECIAL
 
@@ -49,6 +50,56 @@ def brute_counts(k):
                 counts["R_k"] = y
                 break
     return counts
+
+
+def even_targets(k, cls):
+    """Indices whose value must be even, from the class definitions in
+    classify's docstring: none for odd k or the plain class; for special,
+    the divisors of k/2; for KM, the divisors of k that are 1 mod 4 when
+    k = 2 mod 4, and the divisors of k/4 when 4 | k."""
+    if k % 2 or cls == lg.LOG:
+        return set()
+    if cls == lg.SPECIAL:
+        return set(nt.divisors(k // 2))
+    if k % 4 == 2:
+        return {m for m in nt.divisors(k) if m % 4 == 1}
+    return set(nt.divisors(k // 4))
+
+
+def plain_count(k, cls):
+    """Oracle: depth-first over the values of the primes <= k in ascending
+    order, pruning only on a repeated value or an odd value at a parity
+    target; no blocks, no scaling normal form and no closed-form tail."""
+    qs = nt.primes(k)
+    lpf = [1] * (k + 1)
+    for q in qs:
+        for m in range(q, k + 1, q):
+            lpf[m] = q
+    fixed_by = {q: [m for m in range(2, k + 1) if lpf[m] == q] for q in qs}
+    even = even_targets(k, cls)
+    f = [0] * (k + 1)
+    taken = {0}
+
+    def walk(i):
+        if i == len(qs):
+            return 1
+        q = qs[i]
+        total = 0
+        for v in range(k):
+            new = []
+            for m in fixed_by[q]:
+                val = (f[m // q] + v) % k
+                if val in taken or (m in even and val % 2):
+                    break
+                f[m] = val
+                taken.add(val)
+                new.append(val)
+            else:
+                total += walk(i + 1)
+            taken.difference_update(new)
+        return total
+
+    return walk(0)
 
 
 class TestEvalVector:
@@ -163,6 +214,21 @@ class TestSearch:
         for cls in lg.CLASSES:
             assert lg.count(1, cls) == lg.count(2, cls) == 1
 
+    def test_pinned_first_logarithms_past_100(self):
+        # SHA-256 of format_logfn(search(k)), recorded from the value-by-value
+        # walk before the candidate sets became bit masks; they guard the
+        # lexicographic order beyond the k <= 42 tables.
+        pins = {
+            104: "20de5373fc6ceb7a251fc8fe19254d03ce5117df8c4c76534da78944278778b9",
+            118: "49fbeec8a15f2f1c0212c1b8ca475b1dd9909ee530f6ce750665bacd30db00ab",
+            136: "37cf197398406db70689530376683e93aec40e9b3836bacc7b378647f9110fc7",
+            148: "ae12581f59f3cee5c57109e44a74c300dd65668cead9af76e40981b943035d92",
+            152: "8670663b9b4cb3b7322858da0e27068b8d1523aa96f8a75fba55793a9c6f26ad",
+        }
+        for k, digest in pins.items():
+            text = lg.format_logfn(lg.search(k))
+            assert hashlib.sha256(text.encode()).hexdigest() == digest, k
+
     def test_search_many_prefix(self):
         many = lg.search_many(6, limit=3)
         assert len(many) == 3
@@ -241,21 +307,29 @@ class TestCount:
         for k, cls in cases + [(41, lg.SPECIAL)]:
             assert lg.count(k, cls, workers=2) == lg.count(k, cls, workers=1), (k, cls)
 
+    def test_matches_plain_walk_oracle(self):
+        for k in range(3, 21):
+            for cls in lg.CLASSES:
+                assert lg.count(k, cls) == plain_count(k, cls), (k, cls)
+
     def test_km_table_pinned(self):
         for k in range(1, 43):
             assert lg.count(k, lg.KM) == PINNED_KM[k], k
 
     def test_collapsed_tail_matches_full_walk(self):
-        # Oracle: walk every prime to a leaf, check each representative and
-        # add its multiplicity phi(k/f(2)) * prod |B|!, as count did before
-        # the tail was collapsed.
+        # Oracle: walk every prime to a leaf (each value of the last prime's
+        # mask), check each representative and add its multiplicity
+        # phi(k/f(2)) * prod |B|!, as count did before the tail was collapsed.
         for k in range(3, 31):
             for cls in lg.CLASSES:
                 e = lg._Engine(k, cls, enforce_f3=False)
                 full = 0
-                for _ in e._leaves(0, e.r):
-                    e._check_representative()
-                    full += nt.euler_phi(k // e.assigned[0]) * e.block_fact
+                for mask, _ in e._leaves(e.r):
+                    for v in range(k):
+                        if mask >> v & 1:
+                            e.assigned[-1] = v
+                            e._check_representative()
+                            full += nt.euler_phi(k // e.assigned[0]) * e.block_fact
                 assert lg.count(k, cls) == full, (k, cls)
 
 
@@ -270,6 +344,79 @@ class TestEngine:
                 engine = lg._Engine(k, cls, enforce_f3=False)
                 shards = [engine.count(f2) for f2 in nt.divisors(k)[:-1]]
                 assert sum(shards) == lg.count(k, cls), (k, cls)
+
+    def test_mask_matches_value_by_value_check(self):
+        # At random nodes of the walk, the mask of the last walked prime
+        # holds exactly the values v that pass a direct check of the prefix
+        # plus v: injective and even at the parity targets on the indices
+        # that these primes fix, f(2) a divisor below k, f(3) minimal under
+        # the scalars fixing f(2) (search only), and v above the previous
+        # prime of its block. `used` holds the values fixed before it.
+        rng = random.Random(23)
+        factors = {m: nt.factorize(m) for m in range(1, 31)}
+        seen = set()
+        for k in (4, 6, 9, 10, 12, 16, 18, 20, 24, 30):
+            units = [a for a in range(1, k) if math.gcd(a, k) == 1]
+            for cls in lg.CLASSES:
+                pred = {q: prev for b in lg.blocks(k, cls).blocks for prev, q in zip(b, b[1:])}
+                even = even_targets(k, cls)
+                for enforce_f3 in (False, True):
+                    e = lg._Engine(k, cls, enforce_f3)
+                    for depth in range(1, e.r + 1):
+                        q = e.qs[depth - 1]
+                        fixed = [m for m in range(1, k + 1) if all(p <= q for p, _ in factors[m])]
+                        nodes = sum(1 for _ in e._leaves(depth))
+                        picks = set(rng.sample(range(nodes), min(4, nodes)))
+                        for i, (mask, used) in enumerate(e._leaves(depth)):
+                            if i not in picks:
+                                continue
+                            vals = dict(zip(e.qs, e.assigned[: depth - 1]))
+                            want = 0
+                            for v in range(k):
+                                vals[q] = v
+                                image = [sum(x * vals[p] for p, x in factors[m]) % k for m in fixed]
+                                ok = len(set(image)) == len(image)
+                                ok &= all(y % 2 == 0 for m, y in zip(fixed, image) if m in even)
+                                if q == 2:
+                                    ok &= v in nt.divisors(k)[:-1]
+                                if q == 3 and enforce_f3:
+                                    ok &= all(a * v % k >= v for a in units if a * vals[2] % k == vals[2])
+                                if q in pred:
+                                    ok &= v > vals[pred[q]]
+                                want |= ok << v
+                            assert mask == want, (k, cls, enforce_f3, e.assigned[: depth - 1])
+                            before = {y for m, y in zip(fixed, image) if m % q}
+                            assert used == sum(1 << y for y in before), (k, cls, e.assigned[: depth - 1])
+                            hits = {
+                                "parity": any(m in even for m in fixed if m % q == 0),
+                                "heavy": q * q <= k,
+                                "block": q in pred,
+                                "f3": q == 3 and enforce_f3,
+                            }
+                            seen.update(tag for tag, hit in hits.items() if hit)
+        assert seen == {"parity", "heavy", "block", "f3"}
+
+    def test_representative_check_matches_pairwise_oracle(self):
+        # The check raises exactly when two scalars fixing f(2) map the
+        # singleton-prime values to the same vector.
+        rng = random.Random(29)
+        seen = set()
+        for k in (8, 12, 15, 24, 30):
+            e = lg._Engine(k, lg.LOG, enforce_f3=False)
+            for _ in range(100):
+                f2 = rng.choice(nt.divisors(k)[:-1])
+                e.assigned[:] = [f2] + [rng.randrange(k) for _ in range(e.r - 1)]
+                sing = [e.assigned[j] for j in e.singleton_idx]
+                stab = [a for a in range(1, k) if math.gcd(a, k) == 1 and a * f2 % k == f2]
+                vectors = {tuple(a * s % k for s in sing) for a in stab}
+                collide = len(vectors) < len(stab)
+                if collide:
+                    with pytest.raises(CountingError, match="collide under scaling"):
+                        e._check_representative()
+                else:
+                    e._check_representative()
+                seen.add(collide)
+        assert seen == {False, True}
 
     def test_search_many_is_an_increasing_prefix(self):
         for k in range(3, 43):
