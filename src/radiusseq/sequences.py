@@ -220,57 +220,75 @@ def lower_bound(n: int, k: int) -> int:
     return math.comb(n, 2) // k + 1
 
 
+def _symbol_table(n: int, length: int) -> array:
+    """An array("I") of `length` zeros, allocated once; a length that
+    cannot be allocated is a RadiusSeqError naming n and the bytes."""
+    try:
+        return array("I", [0]) * length
+    except (MemoryError, OverflowError):
+        raise RadiusSeqError(
+            f"n={n} needs a sequence of {length} symbols ({4 * length} bytes), "
+            "more than can be allocated"
+        ) from None
+
+
 def naive_sequence(n: int, k: int) -> RadiusSequence:
-    """Concatenation of all two-symbol words x,y with x < y; length 2*C(n,2)."""
-    symbols = array("I")
-    for x in range(n):
-        for y in range(x + 1, n):
-            symbols.append(x)
-            symbols.append(y)
+    """Concatenation of all two-symbol words x,y with x < y; length 2*C(n,2).
+
+    Each x's block x,x+1,x,x+2,...,x,n-1 is two strided slice assignments
+    into one table of the exact length: x at the even offsets, x+1..n-1 at
+    the odd ones.
+    """
+    symbols = _symbol_table(n, 2 * math.comb(n, 2))
+    pos = 0
+    for x in range(n - 1):
+        end = pos + 2 * (n - 1 - x)
+        symbols[pos:end:2] = array("I", [x]) * (n - 1 - x)
+        symbols[pos + 1:end:2] = array("I", range(x + 1, n))
+        pos = end
     return RadiusSequence(n, k, symbols)
 
 
 def one_radius_optimal(n: int) -> RadiusSequence:
-    """A 1-radius sequence of the exact optimal length.
+    """A 1-radius sequence of the exact optimal length: C(n,2) + 1 for odd
+    n, C(n,2) + n/2 for even n.
 
-    Realized as an Eulerian trail on the complete graph, so consecutive
-    symbols always differ. For even n a perfect matching on the vertices
-    2..n-1 is doubled, leaving 0 and 1 as the odd-degree trail endpoints;
-    the length is then C(n,2) + n/2, against C(n,2) + 1 for odd n.
+    It is an Eulerian trail on the complete graph, so consecutive symbols
+    differ; for even n a perfect matching on 2..n-1 is doubled, leaving 0
+    and 1 as the odd-degree ends. The trail is written block by block. For
+    a = 0, 2, 4, ... below n-2 the block is a, a+1, then v = a+2..n-1 with
+    a, a+1, a, ... between consecutive v, and for even n and a > 0 one extra
+    a+1 (the doubled edge) just before the final n-1. Even n adds the block
+    n-2, n-1. The trail ends with 0 for odd n, 1 for even n > 2. Each block
+    is two strided slice assignments into one table of the exact length,
+    so Python makes O(n) steps, not one per edge. This is the trail that
+    Hierholzer's walk from 0 takes with ascending neighbours and each
+    doubled edge last.
     """
     if n < 1:
         raise OutOfRange("n must be >= 1")
-    if n == 1:
-        return RadiusSequence(1, 1, [0])
-    # rows[v][w] == 1 once the simple edge {v, w} is used; the diagonal
-    # starts used, so find(0) yields v's next unused neighbour, ascending
-    rows = [bytearray(n) for _ in range(n)]
-    for v, row in enumerate(rows):
-        row[v] = 1
-    # spare[v]: v's doubled matching edge {v, v^1} (even n, v >= 2) is
-    # unused; it comes after every simple edge of v
-    spare = bytearray(n)
-    if n % 2 == 0:
-        spare[2:] = bytes([1]) * (n - 2)
-    ptr = [0] * n
-    stack = array("I", [0])
-    trail = array("I")
-    while stack:
-        v = stack[-1]
-        w = rows[v].find(0, ptr[v])
-        if w != -1:
-            ptr[v] = w + 1
-            rows[v][w] = rows[w][v] = 1
-        elif spare[v]:
-            w = v ^ 1
-            spare[v] = spare[w] = 0
-        else:
-            trail.append(stack.pop())
-            continue
-        stack.append(w)
-    trail.reverse()
-    if len(trail) != math.comb(n, 2) + (0 if n % 2 else (n - 2) // 2) + 1:
-        raise AssertionError("Eulerian trail failed to use every edge")
+    even = n % 2 == 0
+    length = math.comb(n, 2) + (n // 2 if even else 1)
+    trail = _symbol_table(n, length)
+    pos = 0
+    for a in range(0, n - 2, 2):
+        m = n - 2 - a  # the v after a, a+1
+        trail[pos] = a
+        trail[pos + 2:pos + 2 * m + 1:2] = array("I", range(a + 2, n))
+        trail[pos + 1:pos + 2 * m:2] = (array("I", [a + 1, a]) * ((m + 1) // 2))[:m]
+        pos += 2 * m + 1
+        if even and a:  # the doubled edge {a, a+1}, then the final n-1
+            trail[pos - 1] = a + 1
+            trail[pos] = n - 1
+            pos += 1
+    if even:
+        trail[pos:pos + 2] = array("I", [n - 2, n - 1])
+        pos += 2
+    if n != 2:
+        trail[pos] = 1 if even else 0
+        pos += 1
+    if pos != length:
+        raise AssertionError("Eulerian trail blocks do not fill the exact length")
     return RadiusSequence(n, 1, trail)
 
 

@@ -64,11 +64,16 @@ def cluster(k: int) -> Cluster:
 
 def tiling_from_log(f: logarithms.LogFn) -> TilingMap:
     """Tiling data for the kernel of the evaluation map of a logarithm."""
+    return _tiling(f, cluster(f.k).points)
+
+
+def _tiling(f: logarithms.LogFn, points) -> TilingMap:
+    """tiling_from_log over the given cluster points of length f.k."""
     k = f.k
     qs = numtheory.primes(k)
     psi = tuple(f.prime_values[q] for q in qs)
     table: dict[int, tuple[int, ...]] = {}
-    for pt in cluster(k).points:
+    for pt in points:
         val = sum(c * p for c, p in zip(pt, psi)) % k
         if val in table:
             raise NotBijective(f"evaluation map collides at {val} (length {k})")
@@ -152,28 +157,39 @@ def _subgroup_region(p: int, k: int) -> dict[int, tuple[int, ...]]:
     return region
 
 
-def _region_cover(p: int, k: int, region, f: logarithms.LogFn) -> tuple[list[int], int]:
-    """Multipliers covering H, and the number of tiling translates of f
-    meeting the fundamental region."""
-    tiling = tiling_from_log(f)
-    # Per psi-value tables: the cluster point c that locates a point y of
-    # that value, and m^-1 mod p for the integer m whose exponent vector
-    # is c. The translate z = y - c then maps to h * m^-1 mod p.
-    inverse = {c: pow(m, -1, p) for m, c in enumerate(cluster(k).points, 1)}
-    cells = [tiling.inverse_table[val] for val in range(k)]
-    inv = [inverse[c] for c in cells]
+def _region_covers(p: int, k: int, region, logs):
+    """For each logarithm in `logs`, the multipliers covering H and the
+    number of tiling translates of it meeting the fundamental region.
+
+    The region's coordinate columns, the cluster and m^-1 mod p of each
+    cluster point are made once for all the logarithms.
+    """
+    points = cluster(k).points
+    inverse = {c: pow(m, -1, p) for m, c in enumerate(points, 1)}
     cols = list(zip(*region.values()))
-    vals = list(map(mod, _combine(cols, tiling.psi_values, len(region)), repeat(k)))
-    zcols = [map(sub, col, map(coord.__getitem__, vals)) for col, coord in zip(cols, zip(*cells))]
-    # k = 1: no coordinates, and the one point () lies in the translate ()
-    translates = set(zip(*zcols)) if zcols else {()}
-    multipliers = sorted(set(map(mod, map(mul, region, map(inv.__getitem__, vals)), repeat(p))))
-    covered = set()
-    for m in range(1, k + 1):
-        covered.update(map(mod, map(mul, multipliers, repeat(m)), repeat(p)))
-    if not region.keys() <= covered:
-        raise AssertionError("multiplier blocks fail to cover the subgroup")
-    return multipliers, len(translates)
+    for f in logs:
+        tiling = _tiling(f, points)
+        # Per psi-value tables: the cluster point c that locates a point y
+        # of that value, and m^-1 mod p for the integer m whose exponent
+        # vector is c. The translate z = y - c then maps to h * m^-1 mod p.
+        cells = [tiling.inverse_table[val] for val in range(k)]
+        inv = [inverse[c] for c in cells]
+        vals = list(map(mod, _combine(cols, tiling.psi_values, len(region)), repeat(k)))
+        zcols = [map(sub, col, map(coord.__getitem__, vals)) for col, coord in zip(cols, zip(*cells))]
+        # k = 1: no coordinates, and the one point () lies in the translate ()
+        translates = set(zip(*zcols)) if zcols else {()}
+        multipliers = sorted(set(map(mod, map(mul, region, map(inv.__getitem__, vals)), repeat(p))))
+        covered = set()
+        for m in range(1, k + 1):
+            covered.update(map(mod, map(mul, multipliers, repeat(m)), repeat(p)))
+        if not region.keys() <= covered:
+            raise AssertionError("multiplier blocks fail to cover the subgroup")
+        yield multipliers, len(translates)
+
+
+def _region_cover(p: int, k: int, region, f: logarithms.LogFn) -> tuple[list[int], int]:
+    """_region_covers for the one logarithm f."""
+    return next(_region_covers(p, k, region, (f,)))
 
 
 def admissible_prime(n: int, k: int) -> int:
@@ -229,8 +245,8 @@ def tiling_plan(
     region = _subgroup_region(p, k)
     if f is None:
         best = None
-        for g in logarithms.search_many(k, limit=CANDIDATES):
-            multipliers, w = _region_cover(p, k, region, g)
+        candidates = logarithms.search_many(k, limit=CANDIDATES)
+        for multipliers, w in _region_covers(p, k, region, candidates):
             if best is None or (w, len(multipliers)) < best[:2]:
                 best = (w, len(multipliers), multipliers)
         if best is None:

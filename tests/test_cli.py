@@ -59,6 +59,18 @@ class TestConstruct:
                                "--strategy", "prime", "--horizon", "100000")
         assert code == 1
 
+    @pytest.mark.parametrize("strategy,k,length", [
+        ("eulerian", "1", 500000000000000000),
+        ("naive", "2", 999999999000000000),
+    ])
+    def test_impossible_construction_is_one_line(self, capsys, strategy, k, length):
+        # the one exact-length allocation fails at once, so nothing is held
+        code, out, err = run_cli(capsys, "construct", "--n", "1000000000", "--k", k,
+                                 "--strategy", strategy)
+        assert (code, out) == (1, "")
+        assert err == (f"error: n=1000000000 needs a sequence of {length} symbols "
+                       f"({4 * length} bytes), more than can be allocated\n")
+
     def test_shrink_to_requested_alphabet(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--n", "6", "--k", "2",
                                "--strategy", "prime", "--shrink")

@@ -294,6 +294,16 @@ class TestLowerBound:
                 assert sq.lower_bound(n, k) * k > math.comb(n, 2)
 
 
+def reference_naive_symbols(n):
+    """The pairwise append loop that naive_sequence replaced."""
+    symbols = array("I")
+    for x in range(n):
+        for y in range(x + 1, n):
+            symbols.append(x)
+            symbols.append(y)
+    return symbols
+
+
 class TestNaiveSequence:
     def test_lengths_and_verification_grid(self):
         for n in range(2, 41):
@@ -310,6 +320,19 @@ class TestNaiveSequence:
             for k in (1, 2, 5):
                 seq = sq.naive_sequence(n, k)
                 assert len(seq) > math.comb(n, 2) / k
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_matches_pairwise_loop(self, k):
+        for n in range(1, 65):
+            assert sq.naive_sequence(n, k).symbols == reference_naive_symbols(n), n
+
+    def test_impossible_length_is_one_error(self):
+        # 2 * C(n, 2) symbols of 4 bytes: the allocation fails at once
+        n = 10**9
+        length = 2 * math.comb(n, 2)
+        with pytest.raises(RadiusSeqError, match=rf"^n={n} needs a sequence of {length} "
+                                                 rf"symbols \({4 * length} bytes\)"):
+            sq.naive_sequence(n, 2)
 
 
 def reference_one_radius_trail(n):
@@ -347,12 +370,29 @@ def reference_one_radius_trail(n):
 
 
 class TestOneRadiusOptimal:
-    @pytest.mark.parametrize("n", [*range(1, 65), 255, 256, 600, 601])
+    # both parities, and every n the benchmark's eulerian case draws from
+    @pytest.mark.parametrize("n", [*range(1, 129), 255, 256, *range(590, 611)])
     def test_trail_matches_reference(self, n):
         assert sq.one_radius_optimal(n).symbols.tolist() == reference_one_radius_trail(n)
 
     def exact_optimum(self, n):
         return math.comb(n, 2) + (1 if n % 2 else n // 2)
+
+    @pytest.mark.parametrize("n", [2000, 2001])
+    def test_large_trail_is_exact_and_verifies(self, n):
+        seq = sq.one_radius_optimal(n)
+        assert len(seq) == self.exact_optimum(n)
+        assert all(map(int.__ne__, seq.symbols, seq.symbols[1:]))
+        assert sq.verify(seq)[0]
+
+    def test_impossible_length_is_one_error(self):
+        # the exact length is known before any symbol, and its one
+        # allocation fails at once
+        n = 10**9
+        length = self.exact_optimum(n)
+        with pytest.raises(RadiusSeqError, match=rf"^n={n} needs a sequence of {length} "
+                                                 rf"symbols \({4 * length} bytes\)"):
+            sq.one_radius_optimal(n)
 
     def test_exact_lengths_and_verify_up_to_200(self):
         for n in range(2, 201):
