@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 
 from . import covers, kradius, logarithms, numtheory, sequences, tilings
@@ -46,13 +47,30 @@ def _emit_json(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def _json_with_symbols(obj: dict, symbols):
+def _json_with_list(obj: dict, key: str, runs):
     """Yield ``json.dumps(obj, sort_keys=True)`` plus a newline in pieces,
-    with `symbols` as the list at key "symbols" (None in `obj`)."""
-    head, _, tail = json.dumps(obj, sort_keys=True).partition('"symbols": null')
-    yield head + '"symbols": ['
-    yield from sequences.symbol_runs(symbols, ", ")
+    with the list at `key` (None in `obj`) written as the pieces of `runs`:
+    its items joined by ", ", every piece after the first starting with it."""
+    head, _, tail = json.dumps(obj, sort_keys=True).partition(f'"{key}": null')
+    yield head + f'"{key}": ['
+    yield from runs
     yield "]" + tail + "\n"
+
+
+def _json_with_symbols(obj: dict, symbols):
+    """_json_with_list with `symbols` as the list at key "symbols"."""
+    return _json_with_list(obj, "symbols", sequences.symbol_runs(symbols, ", "))
+
+
+def _pair_runs(rows, pre: str, post: str, sep: str):
+    """Yield the missing pairs (x, y) of pair_rows `rows` in order, one
+    piece per row, each pair written as pre.format(x) + str(y) + post with
+    `sep` between pairs; every piece after the first starts with `sep`."""
+    lead = ""
+    for x, ys in sequences.missing_rows(rows):
+        head = pre.format(x)
+        yield lead + head + (post + sep + head).join(map(str, ys)) + post
+        lead = sep
 
 
 def _cmd_verify(args) -> int:
@@ -60,25 +78,19 @@ def _cmd_verify(args) -> int:
         if value is not None:
             _check_positive(name, value)
     seq = sequences.parse_sequence(_read_text(args.input), n=args.n, k=args.k)
-    ok, missing = sequences.verify(seq)
+    # the report streams the missing pairs from the rows, so it never holds
+    # them all: there are up to C(n,2) of them
+    rows = sequences.pair_rows(seq)
+    count = math.comb(seq.n, 2) - sum(map(int.bit_count, rows))
     if args.format == "json":
-        _emit_json(
-            {
-                "ok": ok,
-                "missing": [list(pair) for pair in missing],
-                "n": seq.n,
-                "k": seq.k,
-                "length": len(seq),
-            }
-        )
+        obj = {"ok": count == 0, "missing": None, "n": seq.n, "k": seq.k, "length": len(seq)}
+        _write(None, _json_with_list(obj, "missing", _pair_runs(rows, "[{}, ", "]", ", ")))
+    elif count == 0:
+        print(f"ok length={len(seq)} n={seq.n} k={seq.k}")
     else:
-        if ok:
-            print(f"ok length={len(seq)} n={seq.n} k={seq.k}")
-        else:
-            print(f"missing {len(missing)} pairs n={seq.n} k={seq.k}")
-            for x, y in missing:
-                print(f"missing {x} {y}")
-    return 0 if ok else 1
+        print(f"missing {count} pairs n={seq.n} k={seq.k}")
+        _write(None, _pair_runs(rows, "missing {} ", "\n", ""))
+    return 0 if count == 0 else 1
 
 
 def _construct(args):

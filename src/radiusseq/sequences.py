@@ -7,6 +7,7 @@ apart.
 
 from __future__ import annotations
 
+import json
 import math
 import multiprocessing
 import os
@@ -14,7 +15,7 @@ import threading
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, mul, or_
 
 from .errors import AlphabetViolation, NotVerified, OutOfRange, RadiusSeqError
@@ -25,16 +26,27 @@ _VERIFY_BLOCK = 4096
 # length * reach from which verify marks the later positions in a forked
 # child; the child's start paid for itself from about 120,000 cells
 _SPLIT_CELLS = 200_000
-# the byte 0 or 1 of a marks cell as the digit "0" or "1"
+# the byte 0 or 1 of a marks cell as the digit "0" or "1", and a digit
+# of a folded row back as 1 for a clear bit (a missing pair), 0 for a set one
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
+_CLEAR = bytes.maketrans(b"01", b"\1\0")
 # symbols per written piece, and characters per parsed window of a long
 # line: serializing and parsing hold O(these) Python objects, not O(length)
 _WRITE_CHUNK = 1 << 16
 _PARSE_WINDOW = 1 << 16
+# the characters of a window that the JSON scanner may read
+_PLAIN = b"0123456789 "
 
 
 def _outside(symbol: int, n: int) -> AlphabetViolation:
     return AlphabetViolation(f"symbol {symbol} outside alphabet of size {n}")
+
+
+def _check_alphabet(symbols, n: int) -> None:
+    """Raise AlphabetViolation naming the first of `symbols` (a list or an
+    array) that is n or more."""
+    if symbols and max(symbols) >= n:
+        raise _outside(next(s for s in symbols if s >= n), n)
 
 
 @dataclass(frozen=True)
@@ -83,11 +95,18 @@ def usable_cpus() -> int:
 def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[int]:
     """The pairs that positions lo..hi-1 meet within `reach` symbols after
     them, as n-1 ints: row x holds a bit for each y > x, the most
-    significant for y = x+1, set when x and y occur at most reach apart."""
+    significant for y = x+1, set when x and y occur at most reach apart.
+
+    Each block of positions checks the alphabet of the symbols it reads
+    before marking them. Blocks run in order and each reads `reach`
+    symbols past its end, so the symbol outside the alphabet that this
+    names is the first one from lo on. It is named before a table that
+    cannot be allocated, wherever in the sequence it lies."""
     try:
         # cell x*n + y marks "x occurs at most reach before y"
         marks = bytearray(n * n)
     except (MemoryError, OverflowError):
+        _check_alphabet(symbols, n)
         raise RadiusSeqError(
             f"n={n} needs a marks table of {n * n} bytes, more than can be allocated"
         ) from None
@@ -97,6 +116,7 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[i
     for start in range(lo, hi, step):
         end = min(start + step, hi)
         block = symbols[start:end + reach].tolist()
+        _check_alphabet(block, n)
         scaled = list(map(mul, block[:end - start], repeat(n)))
         cells = []
         # each offset slices only the symbols it pairs, and offsets past
@@ -117,7 +137,7 @@ def _send_rows(conn, *args) -> None:
     """The forked child's work: send _marked_rows(*args) to the parent."""
     try:
         conn.send(_marked_rows(*args))
-    except (RadiusSeqError, OSError):  # no table, or the parent stopped reading
+    except (RadiusSeqError, OSError):  # no table, a symbol outside the alphabet, a failed send
         raise SystemExit(1) from None  # quietly: the parent marks these positions itself
 
 
@@ -149,12 +169,11 @@ def _balanced_cut(length: int, reach: int) -> int:
     return length - u
 
 
-def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
-    """Check the k-radius property by ordered-pair marking plus fold.
-
-    Returns (ok, missing) where missing lists every unordered pair of
-    distinct alphabet symbols that never co-occurs within distance k, in
-    lexicographic order.
+def pair_rows(seq: RadiusSequence) -> list[int]:
+    """The pairs of distinct symbols that occur within distance k in `seq`,
+    as n-1 ints: row x holds a bit for each y > x, the most significant
+    for y = x+1, set when x and y occur at most k apart. A symbol outside
+    the alphabet raises AlphabetViolation naming the first one.
 
     A sequence of length L with L * min(k, L-1) at least _SPLIT_CELLS is
     marked by two processes when at least 2 CPUs are usable, the "fork"
@@ -164,55 +183,72 @@ def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
     and sends the folded rows back through a pipe, while this process
     marks [0, c). The cut c balances the pairs that the two processes
     look at, min(k, L-1-i) for position i, to within k of each other. The
-    child is always joined before verify returns. If it exits non-zero or
-    sends nothing, this process marks [c, L) itself, so the result never
-    rests on the child alone.
+    child is always joined before this returns, and stopped first when this
+    process raises. If it exits non-zero (on a symbol outside the alphabet,
+    say) or sends nothing, this process marks [c, L) itself, so the result
+    never rests on the child alone.
 
     An n*n table that cannot be allocated raises RadiusSeqError.
     """
-    n, k, symbols = seq.n, seq.k, seq.symbols
-    if symbols and max(symbols) >= n:
-        raise _outside(next(s for s in symbols if s >= n), n)
+    n, symbols = seq.n, seq.symbols
     length = len(symbols)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
-    reach = min(k, length - 1)
+    reach = min(seq.k, length - 1)
     if not _splits(length * reach):
-        rows = _marked_rows(symbols, n, reach, 0, length)
-    else:
-        cut = _balanced_cut(length, reach)
-        context = multiprocessing.get_context("fork")
-        receiver, sender = context.Pipe(duplex=False)
-        child = context.Process(target=_send_rows, args=(sender, symbols, n, reach, cut, length))
-        try:
-            child.start()
-        except OSError:  # no process could be forked
-            child = None
-        sender.close()
-        theirs = None
-        try:
-            rows = _marked_rows(symbols, n, reach, 0, cut)
-            if child is not None:
-                with suppress(EOFError, OSError):  # no whole message came
-                    theirs = receiver.recv()
-        finally:
-            receiver.close()
-            if child is not None:
-                child.join()
-        if theirs is None or child.exitcode != 0:
-            theirs = _marked_rows(symbols, n, reach, cut, length)
-        rows = list(map(or_, rows, theirs))
-    if sum(map(int.bit_count, rows)) == n * (n - 1) // 2:
-        return True, []
-    missing = []
+        return _marked_rows(symbols, n, reach, 0, length)
+    cut = _balanced_cut(length, reach)
+    context = multiprocessing.get_context("fork")
+    receiver, sender = context.Pipe(duplex=False)
+    child = context.Process(target=_send_rows, args=(sender, symbols, n, reach, cut, length))
+    try:
+        child.start()
+    except OSError:  # no process could be forked
+        child = None
+    sender.close()
+    theirs = None
+    try:
+        rows = _marked_rows(symbols, n, reach, 0, cut)
+        if child is not None:
+            with suppress(EOFError, OSError):  # no whole message came
+                theirs = receiver.recv()
+    except BaseException:
+        # a symbol outside the alphabet in [0, c), say: the child's rows are
+        # not wanted, and the child, which holds a copy of the receiving end,
+        # would wait forever to send rows larger than the pipe's buffer
+        if child is not None:
+            child.terminate()
+        raise
+    finally:
+        receiver.close()
+        if child is not None:
+            child.join()
+    if theirs is None or child.exitcode != 0:
+        theirs = _marked_rows(symbols, n, reach, cut, length)
+    return list(map(or_, rows, theirs))
+
+
+def missing_rows(rows: list[int]):
+    """Yield (x, ys) for each row x of pair_rows with a clear bit, in
+    order: ys lists, ascending, the y > x whose bit is clear."""
+    n = len(rows) + 1
     for x, row in enumerate(rows):
         width = n - 1 - x
         if row.bit_count() < width:
-            bits = format(row, f"0{width}b")
-            j = bits.find("0")
-            while j != -1:
-                missing.append((x, x + 1 + j))
-                j = bits.find("0", j + 1)
-    return False, missing
+            clear = format(row, f"0{width}b").encode().translate(_CLEAR)
+            yield x, list(compress(range(x + 1, n), clear))
+
+
+def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
+    """Check the k-radius property by ordered-pair marking plus fold.
+
+    Returns (ok, missing) where missing lists every unordered pair of
+    distinct alphabet symbols that never co-occurs within distance k, in
+    lexicographic order. The marking is pair_rows, with its processes and
+    errors; a caller that only reports the missing pairs can read them
+    row by row from missing_rows instead of holding this list.
+    """
+    missing = [(x, y) for x, ys in missing_rows(pair_rows(seq)) for y in ys]
+    return not missing, missing
 
 
 def lower_bound(n: int, k: int) -> int:
@@ -392,8 +428,28 @@ def _windows(line: str):
     yield line[start:]
 
 
+def _tokens(window: str) -> list[int]:
+    """The integers of the whitespace-separated tokens of `window`, as int()
+    reads them. A window of ASCII digits and spaces alone goes through the
+    C JSON scanner, which reads such a window as int() does or not at all;
+    what it refuses (a leading zero, a double space, a number past the
+    interpreter's digit limit) and every other window go through int()."""
+    if window.isascii() and not window.encode().translate(None, _PLAIN):
+        with suppress(ValueError):
+            return json.loads("[" + window.replace(" ", ",") + "]")
+    return list(map(int, window.split()))
+
+
 def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> RadiusSequence:
-    """Parse the text format; explicit n/k arguments override the header."""
+    """Parse the text format; explicit n/k arguments override the header.
+
+    Long lines are read in windows of about _PARSE_WINDOW characters, each
+    through the JSON scanner where it can read it (see _tokens). A token
+    that is not an integer raises int()'s ValueError naming it. A symbol
+    that does not fit in 32 bits raises AlphabetViolation naming the first
+    symbol outside the alphabet; other symbols outside it are left to
+    verify.
+    """
     header_n = header_k = None
     symbols = array("I")
     misfit = None
@@ -402,7 +458,7 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
             header_n, header_k = parse_fields(line, "sequence header", ("n", "k"))
             continue
         for window in _windows(line):
-            values = list(map(int, window.split()))
+            values = _tokens(window)
             if misfit is None:
                 try:
                     symbols.fromlist(values)

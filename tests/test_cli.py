@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -226,6 +227,28 @@ class TestStreamedOutput:
         assert peak <= limit
 
 
+VERIFY_PINS = {
+    ("valid", "text"): "5886140f250a1c3dc71f69b7514292b81285c2b33e94f3aa73b84ad2055ab948",
+    ("valid", "json"): "bfd794beb3506d698b6cdb24e6a9ba44c0f352ea0cd100e12e74c114d365a19e",
+    ("random", "text"): "e46b073a3962b1d904d68273d3248b2c14dfcfa4cb44e0d8dc8d49e52d53fc8d",
+    ("random", "json"): "7bb3ee0a6d337aa16be24ae5dd680fe8f6ca64720d2b6913f9eb9bca146bdd9e",
+}
+
+
+@pytest.fixture(scope="module")
+def verify_inputs(tmp_path_factory):
+    """A valid prime-cover sequence (p = 751, k = 3, 94,126 symbols, which
+    verify marks in two processes where it can) and a seeded random word
+    over 400 symbols at k = 4 with 18,384 missing pairs."""
+    work = tmp_path_factory.mktemp("verify")
+    valid = work / "valid.txt"
+    assert cli.main([*construct_argv("700", "3", "prime", "text"), "--output", str(valid)]) == 0
+    rng = random.Random(20)
+    word = sq.RadiusSequence(400, 4, [rng.randrange(400) for _ in range(30_000)])
+    (work / "random.txt").write_text("".join(sq.format_sequence(word)), encoding="ascii")
+    return work
+
+
 class TestVerify:
     def test_ok_and_failure_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.txt"
@@ -281,6 +304,39 @@ class TestVerify:
         assert (code, out) == (1, "")
         assert err == ("error: n=1000000000 needs a marks table of "
                        "1000000000000000000 bytes, more than can be allocated\n")
+
+    @pytest.mark.parametrize("case", list(VERIFY_PINS), ids=" ".join)
+    def test_pinned_stdout(self, capsys, verify_inputs, case):
+        name, fmt = case
+        code, out, _ = run_cli(capsys, "verify", "--input", str(verify_inputs / f"{name}.txt"),
+                               "--format", fmt)
+        assert code == (0 if name == "valid" else 1)
+        assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_PINS[case]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_missing_pairs_are_streamed(self, tmp_path, fmt):
+        # two symbols at n=600 miss 179,699 pairs; as a list of tuples they
+        # took about 20 MB, streamed a row of them is held at a time
+        f = tmp_path / "seq.txt"
+        f.write_text("n=600 k=1\n0 1\n")
+        with open(tmp_path / "out", "w", encoding="ascii") as out, redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = cli.main(["verify", "--input", str(f), "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 1
+        assert peak <= 2 << 20
+        text = (tmp_path / "out").read_text()
+        missing = [(0, y) for y in range(2, 600)] + [(x, y) for x in range(1, 600)
+                                                     for y in range(x + 1, 600)]
+        if fmt == "json":
+            assert json.loads(text) == {"ok": False, "missing": [list(p) for p in missing],
+                                        "n": 600, "k": 1, "length": 2}
+        else:
+            assert text == "".join([f"missing {len(missing)} pairs n=600 k=1\n"]
+                                   + [f"missing {x} {y}\n" for x, y in missing])
 
     def test_json_missing_pairs(self, tmp_path, capsys):
         f = tmp_path / "seq.txt"

@@ -2,6 +2,7 @@ import math
 import multiprocessing
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -283,6 +284,91 @@ class TestSplitVerify:
         assert proc.stderr == ""
 
 
+def with_offenders(n, k, length, offenders, seed=5):
+    """A seeded random word over n symbols with the symbols `offenders`
+    ({position: symbol}) put in."""
+    rng = random.Random(seed)
+    symbols = [rng.randrange(n) for _ in range(length)]
+    for pos, s in offenders.items():
+        symbols[pos] = s
+    return sq.RadiusSequence(n, k, symbols)
+
+
+class TestBlockAlphabet:
+    """verify checks the alphabet block by block while it marks, and still
+    names the first symbol outside it."""
+
+    N, K, LENGTH = 40, 4, 60_000
+
+    @pytest.fixture
+    def cut(self):
+        assert self.LENGTH * self.K >= sq._SPLIT_CELLS
+        return sq._balanced_cut(self.LENGTH, self.K)
+
+    @needs_two_cpus
+    @pytest.mark.parametrize("offset", [0, K - 1, K, 20_000],
+                             ids=["at-cut", "end-of-lookahead", "past-lookahead", "far"])
+    def test_offender_from_the_cut_on(self, children, cut, offset):
+        # at offsets below K the parent's last block reads it; past them
+        # only the child does, exits 1, and the parent marks its half again
+        seq = with_offenders(self.N, self.K, self.LENGTH, {cut + offset: self.N + 3})
+        message = f"^symbol {self.N + 3} outside alphabet of size {self.N}$"
+        with pytest.raises(AlphabetViolation, match=message):
+            sq.verify(seq)
+        assert [c.exitcode for c in children] == [1]
+        assert [c.span for c in children] == [(cut, self.LENGTH)]
+
+    @needs_two_cpus
+    def test_earlier_offender_is_named(self, children, cut):
+        # the later offender is smaller, so the largest symbol would be wrong
+        seq = with_offenders(self.N, self.K, self.LENGTH, {100: self.N + 7, cut + 100: self.N + 1})
+        with pytest.raises(AlphabetViolation, match=f"^symbol {self.N + 7} outside"):
+            sq.verify(seq)
+        with pytest.raises(AlphabetViolation, match=f"^symbol {self.N + 1} outside"):
+            sq.verify(with_offenders(self.N, self.K, self.LENGTH, {cut + 100: self.N + 1}))
+        # the first child is stopped when the parent raises, unless it
+        # met its own offender first
+        assert children[0].exitcode in (1, -signal.SIGTERM)
+        assert children[1].exitcode == 1
+
+    @needs_two_cpus
+    def test_offender_before_the_cut_stops_the_child(self):
+        # at n = 1500 the child's rows (about 140 KB) overfill the pipe, so a
+        # child left to send them would block, and the join with it; the
+        # subprocess's timeout turns such a hang into a failure
+        code = (
+            "import random\n"
+            "from radiusseq import sequences as sq\n"
+            "rng = random.Random(5)\n"
+            "symbols = [rng.randrange(1500) for _ in range(60_000)]\n"
+            "symbols[100] = 1503\n"
+            "try:\n"
+            "    sq.verify(sq.RadiusSequence(1500, 4, symbols))\n"
+            "except sq.AlphabetViolation as exc:\n"
+            "    print(exc)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            0, "symbol 1503 outside alphabet of size 1500\n", "")
+
+    def test_offender_in_a_later_block(self):
+        block = sq._VERIFY_BLOCK
+        seq = with_offenders(self.N, 2, 3 * block, {block + 5: self.N, 2 * block + 5: self.N + 9})
+        with pytest.raises(AlphabetViolation, match=f"^symbol {self.N} outside"):
+            sq.verify(seq)
+
+    @pytest.mark.parametrize("split", [False, True])
+    def test_offender_beats_an_impossible_table(self, monkeypatch, split):
+        if split:
+            monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
+        n = 10**9
+        seq = sq.RadiusSequence(n, 2, [0, 1, 4_000_000_000, 2, 4_100_000_000, 3])
+        with pytest.raises(AlphabetViolation, match=f"^symbol 4000000000 outside alphabet of size {n}$"):
+            sq.verify(seq)
+
+
 class TestLowerBound:
     @pytest.mark.parametrize("n,k,expected", [(5, 2, 6), (2, 1, 2), (7, 3, 8)])
     def test_examples(self, n, k, expected):
@@ -531,6 +617,70 @@ class TestSequenceFormat:
     def test_comments_ignored(self):
         text = "# comment\n# another\nn=2 k=1\n0 1\n"
         assert sq.parse_sequence(text).symbols.tolist() == [0, 1]
+
+
+# the characters of a drawn token: digits, whitespace, and what int() or
+# the JSON scanner read as part of a number or a literal, and a non-ASCII digit
+TOKEN_CHARS = "0123456789 \t-+_.etruefalsn\u0663"
+
+
+def int_tokens(window):
+    """The int() reading of a window: the oracle of the JSON fast path."""
+    return list(map(int, window.split()))
+
+
+def parse_outcome(text):
+    """parse_sequence's (n, k, symbols), or the type and text of its error."""
+    try:
+        seq = sq.parse_sequence(text)
+    except (ValueError, RadiusSeqError) as exc:
+        return type(exc), str(exc)
+    return seq.n, seq.k, seq.symbols.tolist()
+
+
+@st.composite
+def symbol_lines(draw):
+    token = st.one_of(
+        st.integers(0, 3000).map(str),
+        st.integers(2**32 - 2, 2**33).map(str),
+        st.tuples(st.integers(1, 3), st.integers(0, 99)).map(lambda t: "0" * t[0] + str(t[1])),
+        st.text(TOKEN_CHARS, min_size=1, max_size=6),
+    )
+    sep = st.sampled_from([" ", " ", " ", "  ", "\t", " \t"])
+    lines = draw(st.lists(st.lists(st.tuples(token, sep), max_size=12), min_size=1, max_size=4))
+    return "n=3000 k=2\n" + "\n".join("".join(tok + s for tok, s in line) for line in lines) + "\n"
+
+
+class TestParseFastPath:
+    @pytest.mark.parametrize("window", [None, 1, 2, 5])
+    @settings(max_examples=200, deadline=None)
+    @given(symbol_lines())
+    def test_json_path_matches_int(self, window, text):
+        with pytest.MonkeyPatch.context() as mp:
+            if window is not None:
+                mp.setattr(sq, "_PARSE_WINDOW", window)
+            fast = parse_outcome(text)
+            mp.setattr(sq, "_tokens", int_tokens)
+            assert fast == parse_outcome(text)
+
+    def test_digit_limit_falls_back_to_int(self):
+        text = "n=5 k=2\n0 1 " + "1" * 5000 + "\n"
+        fast = parse_outcome(text)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sq, "_tokens", int_tokens)
+            assert fast == parse_outcome(text)
+
+    @pytest.mark.parametrize("window,scanned", [
+        ("0 12 3000", True), (f"7 {2**40}", True), ("01 2", True), ("1  2", True),
+        ("1\t2", False), ("-1 2", False), ("+3", False), ("\u0663 1", False),
+    ])
+    def test_only_digits_and_spaces_reach_the_scanner(self, monkeypatch, window, scanned):
+        # a window the scanner refuses ("01", a double space) is read by int() after it
+        calls = []
+        loads = sq.json.loads
+        monkeypatch.setattr(sq.json, "loads", lambda text: calls.append(text) or loads(text))
+        assert sq._tokens(window) == int_tokens(window)
+        assert calls == (["[" + window.replace(" ", ",") + "]"] if scanned else [])
 
 
 def held_bytes(build):
