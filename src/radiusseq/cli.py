@@ -5,6 +5,14 @@ prime | tiling), logs search|count, primes scan|next, density, and tiling
 check. Exit status 0 on success, 1 on verification failure or absence
 results, 2 when the library or the CLI raises OutOfRange. Identical
 requests produce byte-identical reports.
+
+construct prints only a checked sequence, and "verified": true in its JSON
+names that check. The cover strategies (two-radius, prime, tiling) are
+checked by covers.check_splice, the splice certificate: the plan covers
+Z_p* and every segment is a step-d progression, in O(length) and no pair
+table. naive, eulerian and a --shrink that drops symbols (the shrunk
+sequence is no splice) go through sequences.verify, which marks every
+pair within distance k in an n*n table.
 """
 
 from __future__ import annotations
@@ -134,10 +142,14 @@ def _cmd_construct(args) -> int:
         return 1
     p = plan.p if plan else None
     if args.shrink and p is not None and p > args.n:
-        # a splice of a checked cover needs no verify of its own; the one
-        # below checks the shrunk sequence, which is what gets printed
+        # the shrunk sequence is what gets printed, and it is no splice:
+        # it goes through the pair verifier
         seq = sequences._drop_frequent(seq, p - args.n)
-    ok, _ = sequences.verify(seq)
+        ok = sequences.verify(seq)[0]
+    elif plan is not None:
+        ok = covers.check_splice(plan, seq) is None
+    else:
+        ok = sequences.verify(seq)[0]
     if not ok:
         print("constructed sequence failed verification", file=sys.stderr)
         return 1

@@ -113,6 +113,47 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     return seq
 
 
+def check_splice(plan: CoverPlan, seq: RadiusSequence) -> int | None:
+    """None when `seq` is a certified splice of `plan`, else what fails:
+    -1 for a plan that does not cover Z_p* or a sequence whose n, k or
+    length is not the plan's p, k and length, otherwise the index of the
+    first failing segment.
+
+    Segment i holds positions [i(p+k-1), i(p+k-1)+p+k), so consecutive
+    segments share one symbol; it passes when its first symbol s is below
+    p and it equals the step-d_i progression (s + j*d_i) mod p, j =
+    0..p+k-1. Such a segment holds every pair {x, x + j*d_i}, 1 <= j <= k,
+    within distance j, and a cover makes every pair of distinct residues
+    one of these, so a certified splice is a p-ary k-radius sequence:
+    sequences.verify would accept it. This costs O(length + |D|*k) and no
+    pair table. Each segment is compared at C level, slice against the
+    strided slices of sequence_from_cover's residue table, so Python makes
+    about d_i/_TABLE_REPEATS steps per segment.
+    """
+    p, k = plan.p, plan.k
+    if (seq.n, seq.k, len(seq)) != (p, k, plan.length) or not verify_cover(plan)[0]:
+        return -1
+    # entry i is i mod p, as in sequence_from_cover
+    table = array("I", range(p)) * min(_TABLE_REPEATS, len(plan.multipliers))
+    last = len(table) - 1
+    symbols = seq.symbols
+    at = 0
+    for i, d in enumerate(plan.multipliers):
+        # the table holds residues only, so a first symbol at or past p
+        # fails the comparison
+        s = symbols[at] % p
+        end = at + p + k
+        while at < end:
+            # the longest slice from s that ends inside the table
+            m = min(end - at, (last - s) // d + 1)
+            if symbols[at:at + m] != table[s:s + m * d:d]:
+                return i
+            s = (s + m * d) % p
+            at += m
+        at -= 1  # the segment's last symbol is the next one's first
+    return None
+
+
 def coset_minima(p: int, subgroup) -> list[int]:
     """Ascending minima of the cosets of +-H in Z_p*, H the given subgroup.
 

@@ -23,6 +23,11 @@ from .errors import BadPrime, NotBijective, OutOfRange
 from .sequences import RadiusSequence
 
 CANDIDATES = 8
+# the largest (p-1)/2 that tiling_plan takes: _subgroup_region walks the
+# subgroup H, up to (p-1)/2 elements, before any length is known. The walk
+# took 0.6 s and 42 MB at (p-1)/2 = 50,279 (k = 6), and 15 s and 264 MB at
+# 420,419 (k = 13, p = 840,839); k = 17 asks for p >= 2,042,039
+MAX_HALF_ORDER = 100_000
 
 
 @dataclass(frozen=True)
@@ -235,13 +240,19 @@ def tiling_plan(
     supplied, the first CANDIDATES search representatives are compared by
     measured translate count (then cover size) and the best one is used;
     the count depends only on the tiling lattice, so scalar-equivalent
-    logarithms measure alike.
+    logarithms measure alike. A prime with (p-1)/2 above MAX_HALF_ORDER
+    raises OutOfRange before the subgroup walk.
     """
     if n < 2:
         raise OutOfRange("n must be >= 2")
     if f is not None and f.k != k:
         raise ValueError("logarithm length does not match k")
     p = admissible_prime(n, k)
+    if (p - 1) // 2 > MAX_HALF_ORDER:
+        raise OutOfRange(
+            f"the tiling prime p={p} has (p-1)/2 above the cap {MAX_HALF_ORDER} "
+            "on the subgroup walk"
+        )
     region = _subgroup_region(p, k)
     if f is None:
         best = None

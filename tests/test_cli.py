@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
 from contextlib import redirect_stdout
 
@@ -19,6 +20,22 @@ def run_cli(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture(autouse=True)
+def certificate_checked_by_verify(monkeypatch):
+    """Every sequence that covers.check_splice accepts in these tests, which
+    is every construct output of the cover strategies, must also pass the
+    pair verifier: the two checks are compared on every test input."""
+    check, verify = cv.check_splice, sq.verify
+
+    def compared(plan, seq):
+        failed = check(plan, seq)
+        if failed is None:
+            assert verify(seq)[0], (plan.p, plan.k)
+        return failed
+
+    monkeypatch.setattr(cv, "check_splice", compared)
 
 
 class TestConstruct:
@@ -38,6 +55,11 @@ class TestConstruct:
             (11, 2, "two-radius"),
             (7, 3, "prime"),
             (20, 2, "tiling"),
+            (1140, 2, "two-radius"),
+            (30, 3, "prime"),
+            (400, 5, "prime"),
+            (100, 4, "tiling"),
+            (200, 6, "tiling"),
         ],
     )
     def test_round_trip_all_strategies(self, capsys, n, k, strategy):
@@ -93,19 +115,44 @@ class TestConstruct:
     )
     def test_verifies_once(self, capsys, monkeypatch, argv):
         calls = []
-        verify = sq.verify
+        verify, check = sq.verify, cv.check_splice
 
-        def counted(seq):
-            calls.append(seq.n)
+        def counted_verify(seq):
+            calls.append(("verify", seq.n))
             return verify(seq)
 
-        monkeypatch.setattr(sq, "verify", counted)
+        def counted_check(plan, seq):
+            calls.append(("check_splice", seq.n))
+            return check(plan, seq)
+
+        monkeypatch.setattr(sq, "verify", counted_verify)
+        monkeypatch.setattr(cv, "check_splice", counted_check)
         code, out, _ = run_cli(capsys, "construct", *argv)
         assert code == 0
         seq = sq.parse_sequence(out)
-        assert calls == [seq.n]
+        # a splice is checked by its certificate; a shrunk sequence is no
+        # splice, so the pair verifier checks what gets printed
+        want = "verify" if "--shrink" in argv else "check_splice"
+        assert calls == [(want, seq.n)]
         if "--shrink" in argv:
             assert seq.n == int(argv[1])
+
+    @pytest.mark.parametrize("strategy", ["two-radius", "prime", "tiling"])
+    def test_failed_certificate_is_reported(self, capsys, monkeypatch, strategy):
+        monkeypatch.setattr(cv, "check_splice", lambda plan, seq: 0)
+        code, out, err = run_cli(capsys, "construct", "--n", "11", "--k", "2",
+                                 "--strategy", strategy)
+        assert (code, out, err) == (1, "", "constructed sequence failed verification\n")
+
+    def test_tiling_prime_above_the_walk_cap_exits_two(self, capsys):
+        # p = 51,757,545,839 at k = 30: rejected before the subgroup walk
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "construct", "--n", "10", "--k", "30",
+                                 "--strategy", "tiling")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == (f"error: the tiling prime p=51757545839 has (p-1)/2 above the cap "
+                       f"{tl.MAX_HALF_ORDER} on the subgroup walk\n")
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--n", "5", "--k", "2",

@@ -199,6 +199,98 @@ class TestSequenceFromCover:
         assert built > 150
 
 
+def splice(p, k, multipliers, start=0):
+    """Step-d progressions of p+k terms, each from the last term of the one
+    before, the first from `start`; for start 0 this is splice_oracle."""
+    symbols = [start]
+    for d in multipliers:
+        s = symbols[-1]
+        symbols += [(s + j * d) % p for j in range(1, p + k)]
+    return symbols
+
+
+DAMAGE = ["none", "change", "swap", "delete", "n", "k"]
+
+
+@st.composite
+def damaged_splices(draw):
+    """(plan, sequence, damage, first damaged position): a splice of a random
+    multiplier list, covering or not, at a random start, then one damage."""
+    p = draw(st.sampled_from([p for p in SMALL_PRIMES if p <= 61]))
+    k = draw(st.integers(1, (p - 1) // 2))
+    mult = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=12, unique=True))
+    if draw(st.booleans()):
+        # complete the list to a cover, in a random order of the rest
+        rest = draw(st.permutations(sorted(set(range(1, p)) - set(mult))))
+        covered = set().union(*(cv.block_B(d, k, p) for d in mult))
+        for d in rest:
+            if not cv.block_B(d, k, p) <= covered:
+                mult.append(d)
+                covered |= cv.block_B(d, k, p)
+    plan = cv.CoverPlan(p, k, tuple(mult))
+    symbols = splice(p, k, mult, draw(st.integers(0, p - 1)))
+    damage = draw(st.sampled_from(DAMAGE))
+    n, radius, at = p, k, None
+    if damage in ("change", "swap", "delete"):
+        at = draw(st.integers(0, len(symbols) - 1))
+    if damage == "change":
+        symbols[at] = draw(st.integers(0, p).filter(lambda s: s != symbols[at]))
+    elif damage == "swap":
+        other = draw(st.sampled_from([j for j, s in enumerate(symbols) if s != symbols[at]]))
+        symbols[at], symbols[other] = symbols[other], symbols[at]
+        at = min(at, other)
+    elif damage == "delete":
+        del symbols[at]
+    elif damage == "n":
+        n = draw(st.sampled_from([p - 1, p + 1]))
+    elif damage == "k":
+        radius = draw(st.sampled_from([r for r in (k - 1, k + 1) if r >= 1]))
+    return plan, sq.RadiusSequence(n, radius, symbols), damage, at
+
+
+class TestCheckSplice:
+    @given(damaged_splices())
+    @settings(max_examples=300, deadline=None)
+    def test_sound_against_verify(self, case):
+        plan, seq, damage, at = case
+        failed = cv.check_splice(plan, seq)
+        if failed is None:
+            assert sq.verify(seq)[0]
+        if not cv.verify_cover(plan)[0]:
+            assert failed == -1
+        elif damage == "none":
+            assert failed is None
+        elif damage in ("change", "swap"):
+            # the first segment holding the damaged position fails; a
+            # step-d progression is fixed by any one of its terms
+            assert failed == max(0, (at - 1) // (plan.p + plan.k - 1))
+        else:
+            assert failed == -1
+
+    @pytest.mark.parametrize(
+        "plan",
+        [cv.prime_cover(3181, 5), cv.two_radius_cover(1151), cv.CoverPlan(5, 2, (1,))],
+        ids=["prime-p3181", "two-radius-p1151", "flagship"],
+    )
+    def test_accepts_the_splice_and_rejects_one_changed_symbol(self, plan):
+        symbols = cv.sequence_from_cover(plan).symbols
+        assert cv.check_splice(plan, sq.RadiusSequence(plan.p, plan.k, symbols)) is None
+        at = len(symbols) // 2
+        symbols[at] = (symbols[at] + 1) % plan.p
+        failed = cv.check_splice(plan, sq.RadiusSequence(plan.p, plan.k, symbols))
+        assert failed == max(0, (at - 1) // (plan.p + plan.k - 1))
+
+    @pytest.mark.parametrize("value", [5, 2**32 - 1])
+    @pytest.mark.parametrize("multipliers", [(2,), (1, 2)])
+    def test_first_symbol_outside_the_alphabet(self, multipliers, value):
+        # only segment 0 can start outside the alphabet: every later
+        # segment's start is the last symbol of the one before, compared there
+        plan = cv.CoverPlan(5, 2, multipliers)
+        symbols = splice(5, 2, multipliers)
+        symbols[0] = value
+        assert cv.check_splice(plan, sq.RadiusSequence(5, 2, symbols)) == 0
+
+
 class TestTwoRadiusCover:
     @pytest.mark.parametrize(
         "p,size,length",

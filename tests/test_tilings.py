@@ -12,7 +12,7 @@ from radiusseq import logarithms as lg
 from radiusseq import numtheory as nt
 from radiusseq import sequences as sq
 from radiusseq import tilings as tl
-from radiusseq.errors import BadPrime, NotBijective
+from radiusseq.errors import BadPrime, NotBijective, OutOfRange
 
 
 class TestCluster:
@@ -293,6 +293,21 @@ class TestTilingSequence:
         seq, rep = tl.tiling_sequence(5, 1, lg.search(1))
         assert sq.verify(seq)[0]
         assert rep.seq_length == math.comb(rep.p, 2) + 1
+
+    def test_walk_cap_on_half_the_prime(self, monkeypatch):
+        # (239-1)/2 = 119: the cap is inclusive, and it is checked before
+        # the subgroup walk
+        monkeypatch.setattr(tl, "MAX_HALF_ORDER", 119)
+        assert tl.tiling_plan(200, 6)[0].p == 239
+        monkeypatch.setattr(tl, "MAX_HALF_ORDER", 118)
+        monkeypatch.setattr(tl, "_subgroup_region", None)
+        with pytest.raises(OutOfRange, match="p=239 .* cap 118"):
+            tl.tiling_plan(200, 6)
+
+    @pytest.mark.parametrize("k", [13, 17])
+    def test_large_k_rejected_at_n2(self, k):
+        with pytest.raises(OutOfRange, match=f"p={tl.admissible_prime(2, k)} "):
+            tl.tiling_plan(2, k)
 
     def test_full_cover_assembled(self):
         for n, k in [(20, 2), (30, 3), (100, 4), (119, 5)]:
