@@ -10,9 +10,12 @@ construct prints only a checked sequence, and "verified": true in its JSON
 names that check. The cover strategies (two-radius, prime, tiling) are
 checked by covers.check_splice, the splice certificate: the plan covers
 Z_p* and every segment is a step-d progression, in O(length) and no pair
-table. naive, eulerian and a --shrink that drops symbols (the shrunk
-sequence is no splice) go through sequences.verify, which marks every
-pair within distance k in an n*n table.
+table. --shrink then deletes the p-n most frequent symbols of the
+certified splice and relabels the rest; deletion never moves two remaining
+occurrences further apart and the relabelling is injective, so the shrunk
+sequence is k-radius too and is not checked again. naive and eulerian go
+through sequences.verify, which marks every pair within distance k in an
+n*n table.
 """
 
 from __future__ import annotations
@@ -141,18 +144,16 @@ def _cmd_construct(args) -> int:
         print(f"no {args.k}-radius prime found at or above {args.n}", file=sys.stderr)
         return 1
     p = plan.p if plan else None
-    if args.shrink and p is not None and p > args.n:
-        # the shrunk sequence is what gets printed, and it is no splice:
-        # it goes through the pair verifier
-        seq = sequences._drop_frequent(seq, p - args.n)
-        ok = sequences.verify(seq)[0]
-    elif plan is not None:
+    if plan is not None:
         ok = covers.check_splice(plan, seq) is None
     else:
         ok = sequences.verify(seq)[0]
     if not ok:
         print("constructed sequence failed verification", file=sys.stderr)
         return 1
+    if args.shrink and p is not None and p > args.n:
+        # shrinking a certified splice keeps it k-radius (module docstring)
+        seq = sequences._drop_frequent(seq, p - args.n)
     if args.cover_out:
         _write(args.cover_out, [covers.format_cover(plan)])
     if args.format == "json":

@@ -344,7 +344,12 @@ def shrink_alphabet(seq: RadiusSequence, x: int) -> RadiusSequence:
 
 
 def _drop_frequent(seq: RadiusSequence, x: int) -> RadiusSequence:
-    """shrink_alphabet without its checks, for an input known to verify."""
+    """shrink_alphabet without its checks, for an input known to verify.
+
+    The output needs no check of its own: deleting symbols never moves two
+    remaining occurrences further apart, and the relabelling is injective,
+    so every pair of kept symbols still meets within distance k. It is
+    written one _WRITE_CHUNK block at a time, never as one whole list."""
     freq = [0] * seq.n
     for s in seq.symbols:
         freq[s] += 1
@@ -353,7 +358,9 @@ def _drop_frequent(seq: RadiusSequence, x: int) -> RadiusSequence:
     keep = [s not in dropped for s in range(seq.n)]
     # a kept symbol's new label is the number of kept symbols below it
     relabel = list(accumulate(keep, initial=0))
-    symbols = [relabel[s] for s in seq.symbols if keep[s]]
+    symbols = array("I")
+    for start in range(0, len(seq), _WRITE_CHUNK):
+        symbols.fromlist([relabel[s] for s in seq.symbols[start:start + _WRITE_CHUNK] if keep[s]])
     return RadiusSequence(seq.n - x, seq.k, symbols)
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -36,6 +37,14 @@ def certificate_checked_by_verify(monkeypatch):
         return failed
 
     monkeypatch.setattr(cv, "check_splice", compared)
+
+
+SHRINK_CASES = [
+    ("--n", "1440", "--k", "3", "--strategy", "prime", "--shrink"),
+    ("--n", "20", "--k", "2", "--strategy", "two-radius", "--shrink"),
+    ("--n", "200", "--k", "6", "--strategy", "tiling", "--shrink"),
+]
+SHRINK_IDS = ["prime-shrink", "two-radius-shrink", "tiling-shrink"]
 
 
 class TestConstruct:
@@ -102,16 +111,24 @@ class TestConstruct:
         assert seq.n == 6
         assert sq.verify(seq)[0]
 
+    @pytest.mark.parametrize("argv", SHRINK_CASES, ids=SHRINK_IDS)
+    def test_shrunk_output_verifies(self, capsys, argv):
+        # check_splice sees only the p-ary splice, so the printed shrunk
+        # sequence goes through the pair verifier here
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        seq = sq.parse_sequence(out)
+        assert seq.n == int(argv[1]) < int(re.search(r" p=(\d+)", out)[1])
+        assert sq.verify(seq)[0]
+
     @pytest.mark.parametrize(
         "argv",
         [
-            ("--n", "1440", "--k", "3", "--strategy", "prime", "--shrink"),
-            ("--n", "20", "--k", "2", "--strategy", "two-radius", "--shrink"),
+            *SHRINK_CASES,
             ("--n", "7", "--k", "3", "--strategy", "prime"),
             ("--n", "20", "--k", "2", "--strategy", "tiling"),
-            ("--n", "200", "--k", "6", "--strategy", "tiling", "--shrink"),
         ],
-        ids=["prime-shrink", "two-radius-shrink", "prime", "tiling", "tiling-shrink"],
+        ids=[*SHRINK_IDS, "prime", "tiling"],
     )
     def test_verifies_once(self, capsys, monkeypatch, argv):
         calls = []
@@ -129,20 +146,27 @@ class TestConstruct:
         monkeypatch.setattr(cv, "check_splice", counted_check)
         code, out, _ = run_cli(capsys, "construct", *argv)
         assert code == 0
-        seq = sq.parse_sequence(out)
-        # a splice is checked by its certificate; a shrunk sequence is no
-        # splice, so the pair verifier checks what gets printed
-        want = "verify" if "--shrink" in argv else "check_splice"
-        assert calls == [(want, seq.n)]
+        # the p-ary splice is checked by its certificate, and a shrunk
+        # sequence, cut from a certified splice, is not checked again
+        p = int(re.search(r" p=(\d+)", out)[1])
+        assert calls == [("check_splice", p)]
         if "--shrink" in argv:
-            assert seq.n == int(argv[1])
+            assert sq.parse_sequence(out).n == int(argv[1]) < p
 
-    @pytest.mark.parametrize("strategy", ["two-radius", "prime", "tiling"])
-    def test_failed_certificate_is_reported(self, capsys, monkeypatch, strategy):
+    @pytest.mark.parametrize(
+        "argv",
+        [("two-radius",), ("prime",), ("tiling",), ("prime", "--shrink")],
+        ids=["two-radius", "prime", "tiling", "prime-shrink"],
+    )
+    def test_failed_certificate_is_reported(self, capsys, monkeypatch, argv):
+        dropped = []
         monkeypatch.setattr(cv, "check_splice", lambda plan, seq: 0)
+        monkeypatch.setattr(sq, "_drop_frequent", lambda seq, x: dropped.append(x))
+        # the prime strategy picks p = 13 > 11 at k = 2, so --shrink would drop
         code, out, err = run_cli(capsys, "construct", "--n", "11", "--k", "2",
-                                 "--strategy", strategy)
+                                 "--strategy", *argv)
         assert (code, out, err) == (1, "", "constructed sequence failed verification\n")
+        assert dropped == []
 
     def test_tiling_prime_above_the_walk_cap_exits_two(self, capsys):
         # p = 51,757,545,839 at k = 30: rejected before the subgroup walk

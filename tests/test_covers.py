@@ -212,21 +212,27 @@ def splice(p, k, multipliers, start=0):
 DAMAGE = ["none", "change", "swap", "delete", "n", "k"]
 
 
-@st.composite
-def damaged_splices(draw):
-    """(plan, sequence, damage, first damaged position): a splice of a random
-    multiplier list, covering or not, at a random start, then one damage."""
-    p = draw(st.sampled_from([p for p in SMALL_PRIMES if p <= 61]))
+def random_multipliers(draw, max_p, cover):
+    """(p, k, multipliers): a random list over a prime p <= max_p, completed
+    to a cover in a random order of the rest when `cover` is true."""
+    p = draw(st.sampled_from([p for p in SMALL_PRIMES if p <= max_p]))
     k = draw(st.integers(1, (p - 1) // 2))
     mult = draw(st.lists(st.integers(1, p - 1), min_size=1, max_size=12, unique=True))
-    if draw(st.booleans()):
-        # complete the list to a cover, in a random order of the rest
+    if cover:
         rest = draw(st.permutations(sorted(set(range(1, p)) - set(mult))))
         covered = set().union(*(cv.block_B(d, k, p) for d in mult))
         for d in rest:
             if not cv.block_B(d, k, p) <= covered:
                 mult.append(d)
                 covered |= cv.block_B(d, k, p)
+    return p, k, mult
+
+
+@st.composite
+def damaged_splices(draw):
+    """(plan, sequence, damage, first damaged position): a splice of a random
+    multiplier list, covering or not, at a random start, then one damage."""
+    p, k, mult = random_multipliers(draw, 61, draw(st.booleans()))
     plan = cv.CoverPlan(p, k, tuple(mult))
     symbols = splice(p, k, mult, draw(st.integers(0, p - 1)))
     damage = draw(st.sampled_from(DAMAGE))
@@ -266,6 +272,22 @@ class TestCheckSplice:
             assert failed == max(0, (at - 1) // (plan.p + plan.k - 1))
         else:
             assert failed == -1
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shrinking_a_certified_splice_keeps_it_k_radius(self, data):
+        # --shrink checks only the p-ary splice: deleting symbols moves no
+        # two remaining occurrences apart, and the relabelling is injective
+        p, k, mult = random_multipliers(data.draw, 31, True)
+        plan = cv.CoverPlan(p, k, tuple(mult))
+        seq = cv.sequence_from_cover(plan)
+        assert cv.check_splice(plan, seq) is None
+        freq = sorted(map(seq.symbols.count, range(p)), reverse=True)
+        for x in range(1, p):
+            out = sq._drop_frequent(seq, x)
+            assert (out.n, out.k) == (p - x, k)
+            assert len(out) == len(seq) - sum(freq[:x])
+            assert sq.verify(out)[0], (p, k, mult, x)
 
     @pytest.mark.parametrize(
         "plan",

@@ -11,7 +11,7 @@ from array import array
 from itertools import accumulate
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiusseq import covers as cv
@@ -555,6 +555,41 @@ class TestShrinkAlphabet:
     def test_rejects_unverified_input(self):
         with pytest.raises(NotVerified):
             sq.shrink_alphabet(sq.RadiusSequence(4, 1, (0, 1, 2, 3)), 1)
+
+    @given(st.integers(2, 6), st.integers(1, 4), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shrinking_a_verified_word_keeps_it_k_radius(self, n, k, data):
+        symbols = data.draw(st.lists(st.integers(0, n - 1), min_size=4 * n, max_size=80))
+        seq = sq.RadiusSequence(n, k, symbols)
+        assume(sq.verify(seq)[0])
+        freq = sorted(map(symbols.count, range(n)), reverse=True)
+        for x in range(1, n):
+            out = sq._drop_frequent(seq, x)
+            assert (out.n, out.k) == (n - x, k)
+            assert len(out) == len(seq) - sum(freq[:x])
+            assert sq.verify(out)[0], (symbols, k, x)
+
+    @given(st.integers(2, 9), st.lists(st.integers(0, 8), max_size=20), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_drop_equals_one_list(self, n, symbols, data):
+        def one_list(seq, x):
+            # the whole shrunk sequence as one list, as _drop_frequent once built it
+            freq = [0] * seq.n
+            for s in seq.symbols:
+                freq[s] += 1
+            ranked = sorted(range(seq.n), key=lambda s: (-freq[s], s))
+            dropped = set(ranked[:x])
+            keep = [s not in dropped for s in range(seq.n)]
+            relabel = list(accumulate(keep, initial=0))
+            return [relabel[s] for s in seq.symbols if keep[s]]
+
+        seq = sq.RadiusSequence(n, 2, [s % n for s in symbols])
+        x = data.draw(st.integers(1, n - 1))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sq, "_WRITE_CHUNK", 3)
+            out = sq._drop_frequent(seq, x)
+        assert (out.n, out.k) == (n - x, 2)
+        assert out.symbols.tolist() == one_list(seq, x)
 
 
 def format_text(seq, comments=None):
