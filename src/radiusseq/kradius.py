@@ -3,18 +3,26 @@
 A prime p qualifies for radius k when p = 1 mod 2k and the k-th power
 residues of 1..k are pairwise distinct; such primes admit a partition of
 Z_p* into (p-1)/2k multiplier blocks and hence near-optimal sequences.
+A scan cuts [2, limit] into one interval per process of `pool_map` and
+sieves each in pieces, so its memory does not grow with the limit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 
 from . import logarithms, numtheory
 from .errors import NotKRadiusPrime, OutOfRange
+from .sequences import pool_map, pool_size
 
 DEFAULT_HORIZON = 10**7
 CSV_HEADER = "k,limit,primes_scanned,hits,observed,predicted"
+# integers per sieved piece of a scan interval: a scan holds one flag byte
+# per integer of a piece, not of its interval, whatever the limit
+_SIEVE_PIECE = 1 << 20
 
 
 def _spf_for(k: int, bound: int) -> list[int]:
@@ -116,20 +124,23 @@ class DensityReport:
 
 
 def _scan_interval(args) -> tuple[int, list[int]]:
-    """(number of primes, ascending k-radius primes) in [lo, hi], with
-    numtheory.segmented_sieve; only the primes = 1 mod 2k reach the
-    predicate."""
+    """(number of primes, ascending k-radius primes) in [lo, hi], sieved
+    in pieces of _SIEVE_PIECE integers by the primes up to sqrt(hi); only
+    the primes = 1 mod 2k reach the predicate."""
     k, lo, hi = args
-    lo = max(lo, 2)
-    flags = numtheory.segmented_sieve(lo, hi)
+    small = numtheory.primes(math.isqrt(max(hi, 0)))
     step = 2 * k
     spf = _spf_for(k, hi)
-    found = [
-        lo + i
-        for i in range((1 - lo) % step, len(flags), step)
-        if flags[i] and _qualifies(lo + i, k, spf)
-    ]
-    return flags.count(1), found
+    count, found = 0, []
+    for start in range(max(lo, 2), hi + 1, _SIEVE_PIECE):
+        end = min(start + _SIEVE_PIECE - 1, hi)
+        flags = numtheory.segmented_sieve(start, end, small)
+        count += flags.count(1)
+        first = start + (1 - start) % step
+        candidates = compress(range(first, end + 1, step), flags[first - start::step])
+        del flags  # before the next piece is sieved
+        found += [p for p in candidates if _qualifies(p, k, spf)]
+    return count, found
 
 
 def _validate_scan(k: int, limit: int, workers: int) -> None:
@@ -140,17 +151,17 @@ def _validate_scan(k: int, limit: int, workers: int) -> None:
 
 
 def scan_k_radius_primes(k: int, limit: int, workers: int = 1) -> list[int]:
-    """All k-radius primes <= limit, ascending; shardable across workers."""
+    """All k-radius primes <= limit, ascending, alike for any `workers`."""
     _validate_scan(k, limit, workers)
     return [p for _, found in _run_shards(k, limit, workers) for p in found]
 
 
 def _run_shards(k: int, limit: int, workers: int) -> list[tuple[int, list[int]]]:
-    """_scan_interval over [2, limit] cut into one interval per process;
-    the caller has run _validate_scan."""
-    span = (limit - 1) // logarithms.pool_size(workers, limit - 1) + 1
+    """_scan_interval over [2, limit] cut into one interval per process of
+    pool_map; the caller has run _validate_scan."""
+    span = (limit - 1) // pool_size(workers, limit - 1) + 1
     tasks = [(k, lo, min(lo + span - 1, limit)) for lo in range(2, limit + 1, span)]
-    return logarithms.pool_map(_scan_interval, tasks, workers)
+    return pool_map(_scan_interval, tasks, workers)
 
 
 def density_scan(

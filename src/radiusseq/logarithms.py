@@ -16,8 +16,8 @@ counts for k <= 42, and stops before the top block of primes above k/2
 (they take the values left over in increasing order) instead of walking
 it; search takes the mask's values in ascending order and returns the
 first representative (or the first N) in lexicographic order. A count is
-a sum of one task per value of f(2), and `pool_map` runs those tasks,
-like the shards of a prime scan, in-process or in a process pool.
+a sum of one task per value of f(2); `sequences.pool_map` runs them, like
+a prime scan's intervals, in this process and in forked children.
 `dlog_logfn` reads the function q -> dlog(q) mod k off the k-th power
 character of a prime modulus, and `image_stats` answers from `search`: a
 logarithm has the largest image.
@@ -26,13 +26,12 @@ logarithm has the largest image.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import permutations
 
 from . import numtheory
 from .errors import BudgetExceeded, CountingError, NotBijective, OutOfRange
-from .sequences import content_lines, parse_fields, usable_cpus
+from .sequences import content_lines, parse_fields, pool_map
 
 LOG = "log"
 KM = "km"
@@ -175,25 +174,6 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def pool_size(workers: int, tasks: int) -> int:
-    """Worker processes to start for `tasks` independent tasks.
-
-    Never more than the tasks or the usable CPUs, so no argument can make a
-    pool start an unbounded number of processes; at least 1.
-    """
-    return max(1, min(workers, tasks, usable_cpus()))
-
-
-def pool_map(fn, tasks: list, workers: int) -> list:
-    """[fn(t) for t in tasks], in order, run by pool_size(workers, len(tasks))
-    processes; in this process, starting none, when that size is 1."""
-    size = pool_size(workers, len(tasks))
-    if size == 1:
-        return list(map(fn, tasks))
-    with ProcessPoolExecutor(max_workers=size) as pool:
-        return list(pool.map(fn, tasks))
 
 
 class _Engine:
@@ -456,17 +436,12 @@ def search_many(k: int, cls: str = LOG, limit: int = 8) -> list[LogFn]:
     return _Engine(k, cls, enforce_f3=True).search_many(limit)
 
 
-def _count_shard(args) -> int:
-    k, cls, f2 = args
-    return _Engine(k, cls, enforce_f3=False).count(f2)
-
-
 def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) -> int:
     """Exact number of length-k functions of the given class.
 
-    The count is a sum of one task per divisor f(2) < k, run by `pool_map`
-    on at most `workers` processes (prime k has one task and runs
-    in-process). Each search representative contributes phi(k/f(2)) times
+    The count is a sum of one walk of one engine per divisor f(2) < k, run
+    by `pool_map` on at most `workers` processes (prime k has one task and
+    runs in this process). Each representative contributes phi(k/f(2)) times
     the product of the block-size factorials, and the walk adds these for
     all values of its last prime at once, by the popcount of that prime's
     candidate mask. The walk stops before the primes q > k/2 whose value
@@ -488,8 +463,8 @@ def count(k: int, cls: str = LOG, max_k: int = DEFAULT_MAX_K, workers: int = 1) 
         raise BudgetExceeded(f"k={k} exceeds the counting budget {max_k}")
     if k <= 2:
         return 1
-    tasks = [(k, cls, f2) for f2 in numtheory.divisors(k)[:-1]]
-    return sum(pool_map(_count_shard, tasks, workers))
+    engine = _Engine(k, cls, enforce_f3=False)
+    return sum(pool_map(engine.count, numtheory.divisors(k)[:-1], workers))
 
 
 def dlog_logfn(p: int, k: int) -> LogFn:

@@ -41,14 +41,15 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def segmented_sieve(lo: int, hi: int) -> bytearray:
+def segmented_sieve(lo: int, hi: int, small: list[int] | None = None) -> bytearray:
     """flags[i] == 1 iff lo + i is prime, for lo <= lo + i <= hi; needs
-    lo >= 2, and is empty when hi < lo. The primes up to sqrt(hi) that
-    strike the composites come from a sieve of [2, sqrt(hi)]."""
+    lo >= 2, and is empty when hi < lo. The primes that strike the
+    composites are `small`, which must hold every prime up to sqrt(hi),
+    or else come from a sieve of [2, sqrt(hi)]."""
     if hi < lo:
         return bytearray()
     flags = bytearray([1]) * (hi - lo + 1)
-    for q in primes(math.isqrt(hi)):
+    for q in primes(math.isqrt(hi)) if small is None else small:
         start = max(q * q, (lo + q - 1) // q * q) - lo
         flags[start::q] = bytearray(len(range(start, len(flags), q)))
     return flags

@@ -15,6 +15,7 @@ import threading
 from array import array
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate, chain, compress, repeat
 from operator import add, mul, or_
 
@@ -92,6 +93,69 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """Processes for pool_map to run `tasks` tasks on: at least 1, at most
+    the tasks and the usable CPUs, and 1 without the "fork" start method
+    or while another thread runs (a fork copies no thread but the
+    caller's, so a lock another thread holds would stay locked)."""
+    if "fork" not in multiprocessing.get_all_start_methods() or threading.active_count() > 1:
+        return 1
+    return max(1, min(workers, tasks, usable_cpus()))
+
+
+def _send(conn, fn, share: list) -> None:
+    """A forked child's work: send [fn(t) for t in share] to the parent."""
+    try:
+        conn.send(list(map(fn, share)))
+    except BaseException:  # any error at all, a failed send included
+        raise SystemExit(1) from None  # quietly: the parent runs this share itself
+
+
+def pool_map(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], in order: the package's one way to start a
+    process. The tasks are cut into pool_size(workers, len(tasks))
+    contiguous shares. This process runs the first; one forked child per
+    other share, which inherits fn instead of receiving a pickled copy,
+    sends its results through a pipe. Every message is read before any
+    child is joined, and every child is stopped first if this process
+    raises. A share whose child cannot start, exits non-zero or sends
+    nothing runs here again, so every error is raised in this process."""
+    size = pool_size(workers, len(tasks))
+    cuts = [len(tasks) * i // size for i in range(size + 1)]
+    shares = [tasks[lo:hi] for lo, hi in zip(cuts, cuts[1:])]
+    children = {}  # share index: the child and its pipe's receiving end
+    results = [None] * size
+    try:
+        for i in range(1, size):
+            context = multiprocessing.get_context("fork")  # only where fork exists
+            receiver, sender = context.Pipe(duplex=False)
+            # this Process flushes stdout and stderr before it forks, so
+            # nothing buffered is written twice
+            child = context.Process(target=_send, args=(sender, fn, shares[i]))
+            with suppress(OSError):  # no process could be forked
+                child.start()
+                children[i] = child, receiver
+            sender.close()
+        results[0] = list(map(fn, shares[0]))
+        for i, (_, receiver) in children.items():
+            with suppress(EOFError, OSError):  # no whole message came
+                results[i] = receiver.recv()
+    except BaseException:
+        # a child holds a copy of its receiving end, so one left to send
+        # more than the pipe's buffer would wait forever
+        for child, _ in children.values():
+            child.terminate()
+        raise
+    finally:
+        for i, (child, receiver) in children.items():
+            receiver.close()
+            child.join()
+            if child.exitcode:  # whatever it sent is not trusted
+                results[i] = None
+    return [r for part, share in zip(results, shares)
+            for r in (map(fn, share) if part is None else part)]
+
+
 def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[int]:
     """The pairs that positions lo..hi-1 meet within `reach` symbols after
     them, as n-1 ints: row x holds a bit for each y > x, the most
@@ -133,25 +197,6 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[i
     ]
 
 
-def _send_rows(conn, *args) -> None:
-    """The forked child's work: send _marked_rows(*args) to the parent."""
-    try:
-        conn.send(_marked_rows(*args))
-    except (RadiusSeqError, OSError):  # no table, a symbol outside the alphabet, a failed send
-        raise SystemExit(1) from None  # quietly: the parent marks these positions itself
-
-
-def _splits(cells: int) -> bool:
-    # a fork copies no thread but the caller's, so a lock another thread
-    # holds (a stream's, say) would stay locked in the child
-    return (
-        cells >= _SPLIT_CELLS
-        and usable_cpus() >= 2
-        and "fork" in multiprocessing.get_all_start_methods()
-        and threading.active_count() == 1
-    )
-
-
 def _balanced_cut(length: int, reach: int) -> int:
     """The cut that splits the cells min(reach, length-1-i) of the
     positions i most evenly between i < cut and i >= cut: the two halves
@@ -176,55 +221,22 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
     the alphabet raises AlphabetViolation naming the first one.
 
     A sequence of length L with L * min(k, L-1) at least _SPLIT_CELLS is
-    marked by two processes when at least 2 CPUs are usable, the "fork"
-    start method exists and this process runs no other thread: at most one
-    child, forked so that it inherits the symbols instead of receiving a
-    copy, marks the pairs that start in [c, L) in an n*n table of its own
-    and sends the folded rows back through a pipe, while this process
-    marks [0, c). The cut c balances the pairs that the two processes
-    look at, min(k, L-1-i) for position i, to within k of each other. The
-    child is always joined before this returns, and stopped first when this
-    process raises. If it exits non-zero (on a symbol outside the alphabet,
-    say) or sends nothing, this process marks [c, L) itself, so the result
-    never rests on the child alone.
-
-    An n*n table that cannot be allocated raises RadiusSeqError.
+    cut at c, when pool_size(2, 2) is 2, into two spans that pool_map
+    marks, [c, L) in a forked child's own n*n table, and their folded rows
+    are ORed. The cut balances the pairs min(k, L-1-i) that the two look
+    at to within k. An n*n table that cannot be allocated raises
+    RadiusSeqError.
     """
     n, symbols = seq.n, seq.symbols
     length = len(symbols)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
     reach = min(seq.k, length - 1)
-    if not _splits(length * reach):
-        return _marked_rows(symbols, n, reach, 0, length)
-    cut = _balanced_cut(length, reach)
-    context = multiprocessing.get_context("fork")
-    receiver, sender = context.Pipe(duplex=False)
-    child = context.Process(target=_send_rows, args=(sender, symbols, n, reach, cut, length))
-    try:
-        child.start()
-    except OSError:  # no process could be forked
-        child = None
-    sender.close()
-    theirs = None
-    try:
-        rows = _marked_rows(symbols, n, reach, 0, cut)
-        if child is not None:
-            with suppress(EOFError, OSError):  # no whole message came
-                theirs = receiver.recv()
-    except BaseException:
-        # a symbol outside the alphabet in [0, c), say: the child's rows are
-        # not wanted, and the child, which holds a copy of the receiving end,
-        # would wait forever to send rows larger than the pipe's buffer
-        if child is not None:
-            child.terminate()
-        raise
-    finally:
-        receiver.close()
-        if child is not None:
-            child.join()
-    if theirs is None or child.exitcode != 0:
-        theirs = _marked_rows(symbols, n, reach, cut, length)
-    return list(map(or_, rows, theirs))
+    spans = [(0, length)]
+    if length * reach >= _SPLIT_CELLS and pool_size(2, 2) == 2:
+        cut = _balanced_cut(length, reach)
+        spans = [(0, cut), (cut, length)]
+    halves = pool_map(lambda span: _marked_rows(symbols, n, reach, *span), spans, 2)
+    return [reduce(or_, row) for row in zip(*halves)]
 
 
 def missing_rows(rows: list[int]):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -211,6 +212,45 @@ class TestScanInterval:
         primes = [p for p in range(max(lo, 2), hi + 1) if nt.is_prime(p)]
         assert n_primes == len(primes)
         assert found == [p for p in primes if kr.is_k_radius_prime(p, k)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 12),
+        st.integers(-5, 3000),
+        st.integers(-5, 3000),
+        st.integers(1, 64),
+    )
+    def test_pieces_change_nothing(self, k, lo, hi, piece):
+        # every interval here is one piece at the default size
+        whole = kr._scan_interval((k, lo, hi))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kr, "_SIEVE_PIECE", piece)
+            assert kr._scan_interval((k, lo, hi)) == whole
+
+    def test_piece_edges_at_hits(self, monkeypatch):
+        # pieces of [2, limit] start at 2, so a piece of p - 2 integers ends
+        # just before the k-radius prime p and one of p - 1 ends at it
+        limit = 3000
+        found = kr.scan_k_radius_primes(3, limit)
+        report = kr.density_scan(3, limit)
+        pieces = [1, 2, 7] + [p - d for p in found[:3] for d in (2, 1)]
+        for piece in pieces:
+            monkeypatch.setattr(kr, "_SIEVE_PIECE", piece)
+            for workers in (1, 2):
+                assert kr.scan_k_radius_primes(3, limit, workers=workers) == found, piece
+                assert kr.density_scan(3, limit, workers=workers) == report, piece
+
+    def test_scan_memory_is_bounded(self):
+        # the flags of one piece of at most 2**20 integers, not of the whole
+        # interval: the flags of [2, 4 * 10**6] alone took 4 MB
+        tracemalloc.start()
+        try:
+            kr.scan_k_radius_primes(6, 4 * 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert kr._SIEVE_PIECE == 1 << 20
+        assert peak < 2 * 10**6
 
 
 class TestCsv:

@@ -1,7 +1,6 @@
 import hashlib
 import itertools
 import math
-import os
 import random
 
 import pytest
@@ -453,38 +452,15 @@ class TestEngine:
         # f(3) forced minimal in search: 3 and the block {3, 5} stay walked
         assert lg._Engine(5, lg.LOG, enforce_f3=True).tail == 3
 
-    def test_pool_map_keeps_task_order(self):
-        assert lg.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
-        assert lg.pool_map(abs, [], 2) == []
-
-    def test_single_task_starts_no_pool(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a process pool was started")
-
-        monkeypatch.setattr(lg, "ProcessPoolExecutor", no_pool)
+    def test_single_task_starts_no_pool(self, no_process):
         # prime k: f(2) = 1 is the only task, so 2 workers run in-process
         assert lg.count(41, lg.LOG, workers=2) == lg.count(41, lg.LOG)
         assert kr.scan_k_radius_primes(3, 3000, workers=1)
         assert kr.density_scan(3, 3000).k_radius_count > 0
-        if sq.usable_cpus() >= 2:
-            # control: a count with several tasks does reach the pool
-            with pytest.raises(AssertionError, match="process pool"):
+        if sq.pool_size(2, 2) == 2:
+            # control: a count with several tasks does start a process
+            with pytest.raises(AssertionError, match="a process was started"):
                 lg.count(42, lg.LOG, workers=2)
-
-    def test_pool_size_is_capped(self):
-        cpus = sq.usable_cpus()
-        assert lg.pool_size(10**9, 10**9) == cpus
-        assert lg.pool_size(10**9, 1) == 1
-        assert lg.pool_size(0, 10**9) == 1
-        assert lg.pool_size(-5, 3) == 1
-        assert lg.pool_size(2, 10**9) == min(2, cpus)
-
-    def test_pool_size_counts_usable_cpus(self, monkeypatch):
-        # under `taskset -c 0` the machine still has its CPUs, the process one
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert sq.usable_cpus() == 1
-        assert lg.pool_size(2, 10**9) == 1
-        assert lg.pool_size(10**9, 10**9) == 1
 
 
 class TestScalingClosure:

@@ -8,6 +8,7 @@ import sys
 import threading
 import tracemalloc
 from array import array
+from functools import partial
 from itertools import accumulate
 
 import pytest
@@ -15,9 +16,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from radiusseq import covers as cv
+from radiusseq import kradius as kr
+from radiusseq import logarithms as lg
 from radiusseq import sequences as sq
 from radiusseq import tilings as tl
 from radiusseq.errors import AlphabetViolation, NotVerified, OutOfRange, RadiusSeqError
+
+from reference_counts import KNOWN_LOG
 
 
 def brute_force_verify(seq):
@@ -165,25 +170,18 @@ needs_two_cpus = pytest.mark.skipif(
 
 @pytest.fixture
 def children(monkeypatch):
-    """The verify children started during a test, each joined by then."""
+    """The pool_map children started during a test, each joined by then."""
     started = []
     context = multiprocessing.get_context("fork")
 
     class Recorded(context.Process):
         def start(self):
             started.append(self)
-            self.span = self._args[-2:]  # the positions lo..hi-1 it marks
+            self.share = self._args[-1]  # its tasks: for verify, [(lo, hi)] it marks
             super().start()
 
     monkeypatch.setattr(context, "Process", Recorded)
     return started
-
-
-def no_process(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("verify started a process")
-
-    monkeypatch.setattr(multiprocessing.get_context("fork"), "Process", refuse)
 
 
 def test_balanced_cut_evens_the_cells():
@@ -216,51 +214,83 @@ class TestSplitVerify:
         assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap, cut=cut))) == (True, [])
         assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1, cut=cut))) == (False, [(0, 2)])
         assert [c.exitcode for c in children] == [0, 0]
-        assert [c.span for c in children] == [(cut, 120)] * 2
+        assert [c.share for c in children] == [[(cut, 120)]] * 2
 
     @needs_two_cpus
     @pytest.mark.parametrize("sends", [False, True])
-    def test_failed_child_is_not_trusted(self, monkeypatch, children, sends):
-        def fail(conn, symbols, n, reach, lo, hi):
-            if sends:  # rows claiming every pair, which would pass the word
-                conn.send([(1 << (n - 1 - x)) - 1 for x in range(n - 1)])
-            sys.exit(1)
-
+    def test_failed_child_is_not_trusted(self, monkeypatch, capfd, children, sends):
+        # each run forks one child and must return its one-worker result; a
+        # lying child sends what would be wrong if trusted: rows claiming
+        # every pair (which would pass the word), a count too large, an
+        # interval without primes
         rng = random.Random(7)
         seqs = [sq.RadiusSequence(6, 2, [rng.randrange(6) for _ in range(40)]) for _ in range(5)]
         seqs.append(sq.RadiusSequence(3, 2, straddle(3)))
-        expected = [sq.verify(seq) for seq in seqs]
+        runs = [(partial(sq.verify, seq), sq.verify(seq),
+                 [(1 << (seq.n - 1 - x)) - 1 for x in range(seq.n - 1)]) for seq in seqs]
+        runs += [(partial(lg.count, 42, workers=2), lg.count(42), 10**9),
+                 (partial(kr.scan_k_radius_primes, 3, 3000, workers=2),
+                  kr.scan_k_radius_primes(3, 3000), (0, [])),
+                 (partial(kr.density_scan, 3, 3000, workers=2), kr.density_scan(3, 3000), (0, []))]
         monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
-        monkeypatch.setattr(sq, "_send_rows", fail)
-        assert [sq.verify(seq) for seq in seqs] == expected
-        assert [c.exitcode for c in children] == [1] * len(seqs)
+        parent = os.getpid()
 
-    def test_short_sequence_starts_no_process(self, monkeypatch):
-        no_process(monkeypatch)
+        def lying_send(conn, fn, share):
+            conn.send([lie] * len(share))
+            sys.exit(1)
+
+        def dies_in_a_child(task, death):
+            def run(*args):
+                if os.getpid() != parent:
+                    if death == "os-exit":
+                        os._exit(1)
+                    raise RuntimeError("a task failed in a child")
+                return task(*args)
+            return run
+
+        # without sending, a child exits, calls os._exit or raises in a task
+        deaths = ["lie"] if sends else ["exit", "os-exit", "raise"]
+        for death in deaths:
+            with pytest.MonkeyPatch.context() as mp:
+                if death in ("lie", "exit"):
+                    mp.setattr(sq, "_send", lying_send if sends else lambda *args: sys.exit(1))
+                else:
+                    for owner, name in [(sq, "_marked_rows"), (lg._Engine, "count"),
+                                        (kr, "_scan_interval")]:
+                        mp.setattr(owner, name, dies_in_a_child(getattr(owner, name), death))
+                for run, expected, lie in runs:
+                    assert run() == expected, (death, run)
+        assert [c.exitcode for c in children] == [1] * (len(runs) * len(deaths))
+        # a failed child prints nothing, not even a traceback
+        assert capfd.readouterr() == ("", "")
+
+    def test_short_sequence_starts_no_process(self, monkeypatch, no_process):
         seq = sq.RadiusSequence(3, 1, straddle(1, half=1000))
         assert len(seq) * seq.k < sq._SPLIT_CELLS
         assert sq.verify(seq) == (True, [])
         if sq.usable_cpus() >= 2:
             # control: the same word past the split size does fork
             monkeypatch.setattr(sq, "_SPLIT_CELLS", len(seq))
-            with pytest.raises(AssertionError, match="started a process"):
+            with pytest.raises(AssertionError, match="a process was started"):
                 sq.verify(seq)
 
-    def test_one_usable_cpu_starts_no_process(self, monkeypatch):
-        no_process(monkeypatch)
+    def test_one_usable_cpu_starts_no_process(self, monkeypatch, no_process):
         monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
         assert sq.usable_cpus() == 1
         assert sq.verify(sq.RadiusSequence(3, 2, straddle(2))) == (True, [])
 
-    def test_other_thread_starts_no_process(self, monkeypatch):
-        no_process(monkeypatch)
+    def test_other_thread_starts_no_process(self, monkeypatch, no_process):
         monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
         release = threading.Event()
         waiter = threading.Thread(target=release.wait, args=(60,))
         waiter.start()
         try:
+            assert sq.pool_size(2, 2) == 1
             assert sq.verify(sq.RadiusSequence(3, 2, straddle(3))) == (False, [(0, 2)])
+            assert lg.count(42, workers=2) == KNOWN_LOG[42]
+            assert kr.scan_k_radius_primes(3, 3000, workers=2) == kr.scan_k_radius_primes(3, 3000)
+            assert kr.density_scan(3, 3000, workers=2) == kr.density_scan(3, 3000)
         finally:
             release.set()
             waiter.join(60)
@@ -268,20 +298,91 @@ class TestSplitVerify:
 
     def test_unflushed_stdout_appears_once(self):
         # stdout to a pipe is block-buffered (unless PYTHONUNBUFFERED is
-        # set), so "before" is still in the buffer when verify forks
+        # set), so "before" and the verify result are still in the buffer
+        # when verify and count fork
         code = (
             "import sys\n"
-            "from radiusseq import sequences as sq\n"
+            "from radiusseq import logarithms as lg, sequences as sq\n"
             "sq._SPLIT_CELLS = 1\n"
             "sys.stdout.write('before\\n')\n"
             "print(sq.verify(sq.RadiusSequence(3, 1, (0, 1, 2, 1, 0))))\n"
+            "print(lg.count(42, workers=2))\n"
         )
         env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
         env["PYTHONPATH"] = os.pathsep.join(sys.path)
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                               env=env, check=True)
-        assert proc.stdout == "before\n(False, [(0, 2)])\n"
+        assert proc.stdout == f"before\n(False, [(0, 2)])\n{KNOWN_LOG[42]}\n"
         assert proc.stderr == ""
+
+
+class TestPool:
+    """pool_map, the package's one way to start a process."""
+
+    def test_pool_map_keeps_task_order(self):
+        assert sq.pool_map(abs, [-3, 1, -2], 1) == [3, 1, 2]
+        assert sq.pool_map(abs, [], 2) == []
+        tasks = list(range(-50, 51))
+        for workers in (1, 2, 5):
+            assert sq.pool_map(abs, tasks, workers) == list(map(abs, tasks))
+
+    @needs_two_cpus
+    def test_children_run_the_later_shares(self, children):
+        # three shares on 3 usable CPUs, two on 2; a closure needs no pickling
+        offset = 7
+        assert sq.pool_map(lambda t: t + offset, list(range(10)), 3) == list(range(7, 17))
+        shares = [c.share for c in children]
+        assert [c.exitcode for c in children] == [0] * len(shares)
+        size = sq.pool_size(3, 10)
+        assert len(shares) == size - 1
+        assert [t for share in shares for t in share] == list(range(10 // size, 10))
+
+    @needs_two_cpus
+    def test_error_in_a_child_share_is_raised_here(self, capfd, children):
+        def task(t):
+            if t == 5:
+                raise ValueError(f"task {t} failed")
+            return t
+
+        with pytest.raises(ValueError, match="^task 5 failed$"):
+            sq.pool_map(task, list(range(6)), 2)
+        assert [c.exitcode for c in children] == [1]
+        assert capfd.readouterr() == ("", "")
+
+    @needs_two_cpus
+    def test_child_that_cannot_start_is_replaced(self, monkeypatch):
+        def no_fork(self):
+            raise OSError("no process could be forked")
+
+        monkeypatch.setattr(multiprocessing.get_context("fork").Process, "start", no_fork)
+        assert sq.pool_map(abs, list(range(-5, 5)), 2) == list(map(abs, range(-5, 5)))
+        assert lg.count(42, workers=2) == KNOWN_LOG[42]
+
+    def test_pool_size_is_capped(self):
+        cpus = sq.usable_cpus() if FORK else 1
+        assert sq.pool_size(10**9, 10**9) == cpus
+        assert sq.pool_size(10**9, 1) == 1
+        assert sq.pool_size(0, 10**9) == 1
+        assert sq.pool_size(-5, 3) == 1
+        assert sq.pool_size(2, 10**9) == min(2, cpus)
+
+    def test_pool_size_counts_usable_cpus(self, monkeypatch):
+        # under `taskset -c 0` the machine still has its CPUs, the process one
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert sq.usable_cpus() == 1
+        assert sq.pool_size(2, 10**9) == 1
+        assert sq.pool_size(10**9, 10**9) == 1
+
+    def test_no_fork_means_one_process(self, monkeypatch, no_process):
+        def no_fork_context(method=None):
+            raise ValueError(f"cannot find context for {method!r}")
+
+        # as on a platform without fork
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork_context)
+        assert sq.pool_size(2, 10**9) == 1
+        assert sq.pool_map(abs, [-3, 1, -2], 2) == [3, 1, 2]
+        assert lg.count(42, workers=2) == KNOWN_LOG[42]
 
 
 def with_offenders(n, k, length, offenders, seed=5):
@@ -316,7 +417,7 @@ class TestBlockAlphabet:
         with pytest.raises(AlphabetViolation, match=message):
             sq.verify(seq)
         assert [c.exitcode for c in children] == [1]
-        assert [c.span for c in children] == [(cut, self.LENGTH)]
+        assert [c.share for c in children] == [[(cut, self.LENGTH)]]
 
     @needs_two_cpus
     def test_earlier_offender_is_named(self, children, cut):
