@@ -8,20 +8,30 @@ requests produce byte-identical reports.
 
 construct prints only a checked sequence, and "verified": true in its JSON
 names that check. The cover strategies (two-radius, prime, tiling) are
-checked by covers.check_splice, the splice certificate: the plan covers
-Z_p* and every segment is a step-d progression, in O(length) and no pair
-table. --shrink then deletes the p-n most frequent symbols of the
-certified splice and relabels the rest; deletion never moves two remaining
-occurrences further apart and the relabelling is injective, so the shrunk
-sequence is k-radius too and is not checked again. naive and eulerian go
+checked by the splice certificate (covers.splice_pieces, the walk of
+covers.check_splice): the plan covers Z_p* and every segment is a step-d
+progression, in O(length) and no pair table. --shrink then deletes the
+p-n most frequent symbols of the certified splice and relabels the rest;
+deletion never moves two remaining occurrences further apart and the
+relabelling is injective, so the shrunk sequence is k-radius too and is
+not checked again. naive and eulerian go
 through sequences.verify, which marks every pair within distance k in an
 n*n table.
+
+A certified splice is printed from the pieces its certificate checked
+(covers.splice_pieces): each is a strided slice of the residue table that
+compared equal to its place in the sequence, written as the names of
+that slice, relabelled by covers.shrink_labels under --shrink. Nothing
+is written before the whole certificate passes. naive and eulerian are
+written symbol by symbol (sequences.symbol_runs); text and JSON frame
+either source the same way.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -66,11 +76,6 @@ def _json_with_list(obj: dict, key: str, runs):
     yield head + f'"{key}": ['
     yield from runs
     yield "]" + tail + "\n"
-
-
-def _json_with_symbols(obj: dict, symbols):
-    """_json_with_list with `symbols` as the list at key "symbols"."""
-    return _json_with_list(obj, "symbols", sequences.symbol_runs(symbols, ", "))
 
 
 def _pair_runs(rows, pre: str, post: str, sep: str):
@@ -143,17 +148,28 @@ def _cmd_construct(args) -> int:
     if seq is None:
         print(f"no {args.k}-radius prime found at or above {args.n}", file=sys.stderr)
         return 1
-    p = plan.p if plan else None
-    if plan is not None:
-        ok = covers.check_splice(plan, seq) is None
-    else:
+    if plan is None:
         ok = sequences.verify(seq)[0]
+    else:
+        failed, pieces = covers.splice_pieces(plan, seq)
+        ok = failed is None
     if not ok:
         print("constructed sequence failed verification", file=sys.stderr)
         return 1
-    if args.shrink and p is not None and p > args.n:
-        # shrinking a certified splice keeps it k-radius (module docstring)
-        seq = sequences._drop_frequent(seq, p - args.n)
+    # the symbols are written by one of two run sources, each a function of
+    # the separator: the certified splice's checked pieces, or every symbol
+    n, length = seq.n, len(seq)
+    if plan is None:
+        p = None
+        runs = functools.partial(sequences.symbol_runs, seq.symbols)
+    else:
+        p, labels = plan.p, range(plan.p)
+        if args.shrink and p > args.n:
+            # shrinking a certified splice keeps it k-radius (module docstring)
+            n = args.n
+            labels, length = covers.shrink_labels(plan, seq, p - n)
+        runs = functools.partial(covers.splice_runs, plan, pieces, labels)
+        del seq  # the pieces and labels are all that is written from here
     if args.cover_out:
         _write(args.cover_out, [covers.format_cover(plan)])
     if args.format == "json":
@@ -162,16 +178,16 @@ def _cmd_construct(args) -> int:
             "n": args.n,
             "k": args.k,
             "p": p,
-            "length": len(seq),
+            "length": length,
             "verified": True,
             "symbols": None,
         }
         if report is not None:
             obj["report"] = {**dataclasses.asdict(report),
                              "ratio_to_lower_bound": float(report.ratio_to_lower_bound)}
-        _write(args.output, _json_with_symbols(obj, seq.symbols))
+        _write(args.output, _json_with_list(obj, "symbols", runs(", ")))
     else:
-        comments = [f"strategy={args.strategy} length={len(seq)}"]
+        comments = [f"strategy={args.strategy} length={length}"]
         if p is not None:
             comments[0] += f" p={p}"
         if report is not None:
@@ -182,7 +198,7 @@ def _cmd_construct(args) -> int:
                 f"cover_size={report.cover_size} "
                 f"ratio={float(report.ratio_to_lower_bound)!r}"
             )
-        _write(args.output, sequences.format_sequence(seq, comments))
+        _write(args.output, sequences.format_text(n, args.k, runs(" "), comments))
     return 0
 
 

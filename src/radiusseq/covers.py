@@ -11,7 +11,7 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 
-from . import kradius, numtheory
+from . import kradius, numtheory, sequences
 from .errors import CoverIncomplete, NotKRadiusPrime
 from .sequences import RadiusSequence, content_lines, parse_fields
 
@@ -62,6 +62,11 @@ def block_A(d: int, k: int, p: int) -> set[int]:
     return {i * d % p for i in range(1, k + 1)}
 
 
+def _copies(plan: CoverPlan) -> int:
+    """Copies of 0..p-1 in the residue table: never longer than the splice."""
+    return min(_TABLE_REPEATS, len(plan.multipliers))
+
+
 def verify_cover(plan: CoverPlan) -> tuple[bool, set[int]]:
     """Check that the union of the plan's blocks is all of Z_p*."""
     covered = set()
@@ -90,8 +95,8 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     if not ok:
         raise CoverIncomplete(f"plan for p={plan.p}, k={plan.k} does not cover Z_p*")
     p, k = plan.p, plan.k
-    # entry i is i mod p; never longer than the output
-    table = array("I", range(p)) * min(_TABLE_REPEATS, len(plan.multipliers))
+    # entry i is i mod p
+    table = array("I", range(p)) * _copies(plan)
     last = len(table) - 1
     symbols = array("I")
     start = lo = 0
@@ -113,6 +118,44 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     return seq
 
 
+def splice_pieces(plan: CoverPlan, seq: RadiusSequence) -> tuple[int | None, array]:
+    """check_splice's verdict on `seq`, and the pieces it compared.
+
+    The pieces are slices of the residue table, ``array("I", range(p))
+    * _copies(plan)``, whose terms in order are the symbols of `seq`: an
+    array of (start, stop, step) triples, each ``table[start:stop:step]``
+    compared equal to the symbols at its place. None spans more than
+    sequences._WRITE_CHUNK symbols, and none holds the first symbol of a
+    later segment, which is the last of the one before. The array is
+    empty unless the verdict is None; it holds 24 bytes a piece, and
+    segment i takes about d_i/_TABLE_REPEATS pieces.
+    """
+    p, k = plan.p, plan.k
+    if (seq.n, seq.k, len(seq)) != (p, k, plan.length) or not verify_cover(plan)[0]:
+        return -1, array("q")
+    table = array("I", range(p)) * _copies(plan)
+    last = len(table) - 1
+    symbols = seq.symbols
+    pieces = array("q")
+    at = lo = 0
+    for i, d in enumerate(plan.multipliers):
+        # segment 0 runs from its own first symbol, which fails the
+        # comparison at or past p, as the table holds residues only; a
+        # later one from one step past the last symbol compared before it
+        s = (symbols[at - lo] + lo * d) % p
+        end = at + p + k - lo
+        while at < end:
+            # the longest slice from s that ends inside the table
+            m = min(end - at, (last - s) // d + 1, sequences._WRITE_CHUNK)
+            if symbols[at:at + m] != table[s:s + m * d:d]:
+                return i, array("q")
+            pieces.extend((s, s + m * d, d))
+            s = (s + m * d) % p
+            at += m
+        lo = 1
+    return None, pieces
+
+
 def check_splice(plan: CoverPlan, seq: RadiusSequence) -> int | None:
     """None when `seq` is a certified splice of `plan`, else what fails:
     -1 for a plan that does not cover Z_p* or a sequence whose n, k or
@@ -128,30 +171,47 @@ def check_splice(plan: CoverPlan, seq: RadiusSequence) -> int | None:
     sequences.verify would accept it. This costs O(length + |D|*k) and no
     pair table. Each segment is compared at C level, slice against the
     strided slices of sequence_from_cover's residue table, so Python makes
-    about d_i/_TABLE_REPEATS steps per segment.
+    about d_i/_TABLE_REPEATS steps per segment. Those slices are
+    splice_pieces, from which construct prints a certified splice.
     """
+    return splice_pieces(plan, seq)[0]
+
+
+def shrink_labels(plan: CoverPlan, seq: RadiusSequence, x: int) -> tuple[list, int]:
+    """The labels that sequences._drop_frequent(seq, x) gives the residues
+    of `seq`, a certified splice of `plan` (None for a dropped one), and
+    the length of the sequence it leaves.
+
+    The frequencies are counted from |D|*k symbols: segment i's p+k terms
+    hold every residue once plus its first k terms again, and a later
+    segment's first term is the last of the one before, so residue r
+    occurs |D| times plus once per symbol r at positions i(p+k-1) + j,
+    (i > 0) <= j < k."""
     p, k = plan.p, plan.k
-    if (seq.n, seq.k, len(seq)) != (p, k, plan.length) or not verify_cover(plan)[0]:
-        return -1
-    # entry i is i mod p, as in sequence_from_cover
-    table = array("I", range(p)) * min(_TABLE_REPEATS, len(plan.multipliers))
-    last = len(table) - 1
-    symbols = seq.symbols
-    at = 0
-    for i, d in enumerate(plan.multipliers):
-        # the table holds residues only, so a first symbol at or past p
-        # fails the comparison
-        s = symbols[at] % p
-        end = at + p + k
-        while at < end:
-            # the longest slice from s that ends inside the table
-            m = min(end - at, (last - s) // d + 1)
-            if symbols[at:at + m] != table[s:s + m * d:d]:
-                return i
-            s = (s + m * d) % p
-            at += m
-        at -= 1  # the segment's last symbol is the next one's first
-    return None
+    freq = [len(plan.multipliers)] * p
+    for i in range(len(plan.multipliers)):
+        at = i * (p + k - 1)
+        for s in seq.symbols[at + (i > 0):at + k]:
+            freq[s] += 1
+    labels = sequences._relabelling(freq, x)
+    return labels, sum(f for f, label in zip(freq, labels) if label is not None)
+
+
+def splice_runs(plan: CoverPlan, pieces: array, labels, sep: str):
+    """Yield the symbols of the certified splice whose splice_pieces are
+    `pieces`, residue r written as labels[r] (left out where that is
+    None), joined by `sep` in runs of one piece: every run after the
+    first starts with `sep`. Each run is ``"".join(names[start:stop:step])``
+    over the residue table's layout of names, each name with its `sep` in
+    front, so Python makes one step per piece, not one per symbol."""
+    names = [sep + str(label) if label is not None else "" for label in labels] * _copies(plan)
+    lead = len(sep)  # the first run's, cut off
+    triples = iter(pieces)
+    for start, stop, step in zip(triples, triples, triples):
+        run = "".join(names[start:stop:step])
+        if run:
+            yield run[lead:]
+            lead = 0
 
 
 def coset_minima(p: int, subgroup) -> list[int]:

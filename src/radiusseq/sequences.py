@@ -365,15 +365,22 @@ def _drop_frequent(seq: RadiusSequence, x: int) -> RadiusSequence:
     freq = [0] * seq.n
     for s in seq.symbols:
         freq[s] += 1
-    ranked = sorted(range(seq.n), key=lambda s: (-freq[s], s))
-    dropped = set(ranked[:x])
-    keep = [s not in dropped for s in range(seq.n)]
-    # a kept symbol's new label is the number of kept symbols below it
-    relabel = list(accumulate(keep, initial=0))
+    labels = _relabelling(freq, x)
     symbols = array("I")
     for start in range(0, len(seq), _WRITE_CHUNK):
-        symbols.fromlist([relabel[s] for s in seq.symbols[start:start + _WRITE_CHUNK] if keep[s]])
+        chunk = seq.symbols[start:start + _WRITE_CHUNK]
+        symbols.fromlist([label for label in map(labels.__getitem__, chunk) if label is not None])
     return RadiusSequence(seq.n - x, seq.k, symbols)
+
+
+def _relabelling(freq: list[int], x: int) -> list[int | None]:
+    """The label of each symbol once the x with the highest `freq` are
+    dropped, ties dropping the smaller symbol: None for a dropped symbol,
+    else the number of kept symbols below it."""
+    ranked = sorted(range(len(freq)), key=lambda s: (-freq[s], s))
+    dropped = set(ranked[:x])
+    keep = [s not in dropped for s in range(len(freq))]
+    return [label if kept else None for label, kept in zip(accumulate(keep, initial=0), keep)]
 
 
 class _Names(dict):
@@ -400,10 +407,16 @@ def format_sequence(seq: RadiusSequence, comments: list[str] | None = None):
     line ``n=<int> k=<int>``, then a line of space-separated decimal
     symbols. ``"".join`` of the pieces is the whole text; no piece holds
     more than _WRITE_CHUNK symbols."""
+    return format_text(seq.n, seq.k, symbol_runs(seq.symbols, " "), comments)
+
+
+def format_text(n: int, k: int, runs, comments: list[str] | None = None):
+    """format_sequence with the symbol line given as `runs`, pieces of it
+    that join to the space-separated symbols."""
     for c in comments or []:
         yield f"# {c}\n"
-    yield f"n={seq.n} k={seq.k}\n"
-    yield from symbol_runs(seq.symbols, " ")
+    yield f"n={n} k={k}\n"
+    yield from runs
     yield "\n"
 
 

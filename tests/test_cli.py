@@ -1,15 +1,20 @@
 import hashlib
+import io
 import json
 import os
 import random
 import re
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from array import array
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiusseq import cli
 from radiusseq import covers as cv
@@ -25,18 +30,25 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture(autouse=True)
 def certificate_checked_by_verify(monkeypatch):
-    """Every sequence that covers.check_splice accepts in these tests, which
-    is every construct output of the cover strategies, must also pass the
-    pair verifier: the two checks are compared on every test input."""
-    check, verify = cv.check_splice, sq.verify
+    """Every sequence that covers.splice_pieces certifies in these tests,
+    which is every construct output of the cover strategies, must also pass
+    the pair verifier, and its pieces must spell it out: the two checks are
+    compared on every test input, and so is what construct writes from."""
+    pieces_of, verify = cv.splice_pieces, sq.verify
 
     def compared(plan, seq):
-        failed = check(plan, seq)
+        failed, pieces = pieces_of(plan, seq)
         if failed is None:
             assert verify(seq)[0], (plan.p, plan.k)
-        return failed
+            table, at = array("I", range(plan.p)) * cv._copies(plan), 0
+            for i in range(0, len(pieces), 3):
+                run = table[slice(*pieces[i:i + 3])]
+                assert seq.symbols[at:at + len(run)] == run
+                at += len(run)
+            assert at == len(seq)
+        return failed, pieces
 
-    monkeypatch.setattr(cv, "check_splice", compared)
+    monkeypatch.setattr(cv, "splice_pieces", compared)
 
 
 SHRINK_CASES = [
@@ -132,24 +144,24 @@ class TestConstruct:
     )
     def test_verifies_once(self, capsys, monkeypatch, argv):
         calls = []
-        verify, check = sq.verify, cv.check_splice
+        verify, check = sq.verify, cv.splice_pieces
 
         def counted_verify(seq):
             calls.append(("verify", seq.n))
             return verify(seq)
 
         def counted_check(plan, seq):
-            calls.append(("check_splice", seq.n))
+            calls.append(("splice_pieces", seq.n))
             return check(plan, seq)
 
         monkeypatch.setattr(sq, "verify", counted_verify)
-        monkeypatch.setattr(cv, "check_splice", counted_check)
+        monkeypatch.setattr(cv, "splice_pieces", counted_check)
         code, out, _ = run_cli(capsys, "construct", *argv)
         assert code == 0
         # the p-ary splice is checked by its certificate, and a shrunk
         # sequence, cut from a certified splice, is not checked again
         p = int(re.search(r" p=(\d+)", out)[1])
-        assert calls == [("check_splice", p)]
+        assert calls == [("splice_pieces", p)]
         if "--shrink" in argv:
             assert sq.parse_sequence(out).n == int(argv[1]) < p
 
@@ -160,8 +172,8 @@ class TestConstruct:
     )
     def test_failed_certificate_is_reported(self, capsys, monkeypatch, argv):
         dropped = []
-        monkeypatch.setattr(cv, "check_splice", lambda plan, seq: 0)
-        monkeypatch.setattr(sq, "_drop_frequent", lambda seq, x: dropped.append(x))
+        monkeypatch.setattr(cv, "splice_pieces", lambda plan, seq: (0, array("q")))
+        monkeypatch.setattr(cv, "shrink_labels", lambda plan, seq, x: dropped.append(x))
         # the prime strategy picks p = 13 > 11 at k = 2, so --shrink would drop
         code, out, err = run_cli(capsys, "construct", "--n", "11", "--k", "2",
                                  "--strategy", *argv)
@@ -252,6 +264,13 @@ STDOUT_PINS = {
         "ee27bb791bc1f8e81baff85c9b41bde2bfdedfb64ac3c1dc6fc34738d5157a7a",
     ("10", "2", "two-radius", "text"):
         "99ccf28fdcd2e0f5bfdc937829d7a764ea0fbcd4cc352f9a7a76015fd4903cf8",
+    # recorded before certified splices were written from their checked pieces
+    ("1400", "3", "prime", "json", "--shrink"):
+        "018273e033987f4522c494760c000e2b24e29ff7009a9c257e636f900ce52c23",
+    ("1140", "2", "two-radius", "json"):
+        "269ceb59af69750aaa87b754a33c2c22228f450f0258ee20cd8c487cc74a67e9",
+    ("200", "6", "tiling", "text", "--shrink"):
+        "0cd4ec2a2bd976be46f372f1f9b4f781f80d2cc7408dd15727587008ba01b085",
 }
 
 
@@ -272,7 +291,7 @@ class TestStreamedOutput:
         monkeypatch.setattr(sq, "_WRITE_CHUNK", 3)
         symbols = sq.RadiusSequence(900, 2, [(37 * i) % 900 for i in range(length)]).symbols
         obj = {"strategy": "prime", "n": 7, "p": None, "symbols": None, "verified": True}
-        pieces = list(cli._json_with_symbols(obj, symbols))
+        pieces = list(cli._json_with_list(obj, "symbols", sq.symbol_runs(symbols, ", ")))
         whole = json.dumps({**obj, "symbols": symbols.tolist()}, sort_keys=True) + "\n"
         assert "".join(pieces) == whole
         assert max(p.count(",") for p in pieces) <= 5
@@ -296,6 +315,73 @@ class TestStreamedOutput:
                 tracemalloc.stop()
         assert code == 0
         assert peak <= limit
+
+
+# small constructions of every cover strategy: n, k and the strategy
+PIECE_CASES = st.one_of(
+    st.tuples(st.integers(2, 60), st.just(2), st.just("two-radius")),
+    st.tuples(st.integers(2, 60), st.sampled_from([1, 2, 3, 5]), st.just("prime")),
+    st.tuples(st.integers(2, 60), st.integers(1, 4), st.just("tiling")),
+)
+
+
+class TestPieceWriter:
+    @given(PIECE_CASES, st.booleans(), st.sampled_from(["text", "json"]),
+           st.integers(1, 3), st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_prints_what_the_generic_writer_prints(self, case, shrink, fmt, copies, chunk):
+        # construct writes a certified splice from its checked pieces; the
+        # generic writer, fed sequence_from_cover(plan) (and _drop_frequent
+        # of it when shrinking), must print the same bytes
+        n, k, strategy = case
+        with tempfile.TemporaryDirectory() as work, pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cv, "_TABLE_REPEATS", copies)
+            mp.setattr(sq, "_WRITE_CHUNK", chunk)
+            cover = os.path.join(work, "cover.txt")
+            argv = [*construct_argv(str(n), str(k), strategy, fmt), "--cover-out", cover]
+            with redirect_stdout(io.StringIO()) as out:
+                assert cli.main(argv + ["--shrink"] * shrink) == 0
+            with open(cover, encoding="ascii") as fh:
+                plan = cv.parse_cover(fh.read())
+        out = out.getvalue()
+        seq = cv.sequence_from_cover(plan)
+        if shrink and plan.p > n:
+            seq = sq._drop_frequent(seq, plan.p - n)
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["length"] == len(seq)
+            obj["symbols"] = None
+            want = cli._json_with_list(obj, "symbols", sq.symbol_runs(seq.symbols, ", "))
+        else:
+            comments = [line[2:] for line in out.splitlines() if line.startswith("# ")]
+            assert f" length={len(seq)} " in comments[0]
+            want = sq.format_sequence(seq, comments)
+        assert out == "".join(want)
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [("20", "2", "two-radius"), ("11", "2", "prime"), ("20", "3", "tiling"),
+         ("11", "2", "prime", "--shrink")],
+        ids=["two-radius", "prime", "tiling", "prime-shrink"],
+    )
+    def test_damaged_splice_writes_nothing(self, capsys, monkeypatch, tmp_path, argv, fmt,
+                                           to_file):
+        splice = cv.sequence_from_cover
+
+        def damaged(plan):
+            seq = splice(plan)
+            seq.symbols[len(seq) // 2] = (seq.symbols[len(seq) // 2] + 1) % plan.p
+            return seq
+
+        monkeypatch.setattr(cv, "sequence_from_cover", damaged)
+        n, k, strategy, *extra = argv
+        out_file, cover_file = tmp_path / "out", tmp_path / "cover"
+        files = ["--output", str(out_file)] * to_file + ["--cover-out", str(cover_file)]
+        code, out, err = run_cli(capsys, *construct_argv(n, k, strategy, fmt, *extra, *files))
+        assert (code, out, err) == (1, "", "constructed sequence failed verification\n")
+        assert not out_file.exists() and not cover_file.exists()
 
 
 VERIFY_PINS = {

@@ -313,6 +313,79 @@ class TestCheckSplice:
         assert cv.check_splice(plan, sq.RadiusSequence(5, 2, symbols)) == 0
 
 
+class TestSplicePieces:
+    @given(damaged_splices(), st.integers(1, 3), st.integers(1, 7))
+    @settings(max_examples=200, deadline=None)
+    def test_pieces_spell_out_the_certified_splice(self, case, copies, chunk):
+        plan, seq, damage, at = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cv, "_TABLE_REPEATS", copies)
+            mp.setattr(sq, "_WRITE_CHUNK", chunk)
+            failed, pieces = cv.splice_pieces(plan, seq)
+        # the verdict names the segment that the damage reaches first
+        if not cv.verify_cover(plan)[0]:
+            assert failed == -1
+        elif damage == "none":
+            assert failed is None
+        elif damage in ("change", "swap"):
+            assert failed == max(0, (at - 1) // (plan.p + plan.k - 1))
+        else:
+            assert failed == -1
+        if failed is not None:
+            assert len(pieces) == 0
+            return
+        table = list(range(plan.p)) * cv._copies(plan)
+        runs = [table[slice(*pieces[i:i + 3])] for i in range(0, len(pieces), 3)]
+        assert [s for run in runs for s in run] == seq.symbols.tolist()
+        assert all(1 <= len(run) <= chunk for run in runs)
+        # each piece lies in one segment, a junction written as the last
+        # symbol of the segment before it: position q is in segment
+        # max(0, (q - 1) // (p + k - 1))
+        segment = lambda q: max(0, (q - 1) // (plan.p + plan.k - 1))
+        at = 0
+        for run in runs:
+            assert segment(at) == segment(at + len(run) - 1)
+            at += len(run)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_written_runs_equal_the_generic_writer(self, data):
+        # the pieces of a certified splice, written with plain or shrunk
+        # labels, print what symbol_runs prints for the same sequence
+        p, k, mult = random_multipliers(data.draw, 31, True)
+        plan = cv.CoverPlan(p, k, tuple(mult))
+        seq = sq.RadiusSequence(p, k, splice(p, k, mult, data.draw(st.integers(0, p - 1))))
+        x = data.draw(st.integers(0, p - 1))
+        sep = data.draw(st.sampled_from([" ", ", "]))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cv, "_TABLE_REPEATS", data.draw(st.integers(1, 3)))
+            mp.setattr(sq, "_WRITE_CHUNK", data.draw(st.integers(1, 7)))
+            failed, pieces = cv.splice_pieces(plan, seq)
+            assert failed is None
+            labels, length = range(p), len(seq)
+            want = seq
+            if x:
+                labels, length = cv.shrink_labels(plan, seq, x)
+                want = sq._drop_frequent(seq, x)
+            runs = list(cv.splice_runs(plan, pieces, labels, sep))
+        assert length == len(want)
+        assert "".join(runs) == "".join(sq.symbol_runs(want.symbols, sep))
+        assert all(run.startswith(sep) for run in runs[1:])
+        assert runs == [] or not runs[0].startswith(sep)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shrink_labels_count_what_drop_frequent_counts(self, data):
+        p, k, mult = random_multipliers(data.draw, 31, True)
+        plan = cv.CoverPlan(p, k, tuple(mult))
+        seq = sq.RadiusSequence(p, k, splice(p, k, mult, data.draw(st.integers(0, p - 1))))
+        x = data.draw(st.integers(1, p - 1))
+        freq = list(map(seq.symbols.count, range(p)))
+        labels, length = cv.shrink_labels(plan, seq, x)
+        assert labels == sq._relabelling(freq, x)
+        assert length == len(sq._drop_frequent(seq, x))
+
+
 class TestTwoRadiusCover:
     @pytest.mark.parametrize(
         "p,size,length",
