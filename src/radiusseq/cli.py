@@ -10,11 +10,12 @@ construct prints only a checked sequence, and "verified": true in its JSON
 names that check. The cover strategies (two-radius, prime, tiling) are
 checked by the splice certificate (covers.splice_pieces, the walk of
 covers.check_splice): the plan covers Z_p* and every segment is a step-d
-progression, in O(length) and no pair table. --shrink then deletes the
-p-n most frequent symbols of the certified splice and relabels the rest;
-deletion never moves two remaining occurrences further apart and the
-relabelling is injective, so the shrunk sequence is k-radius too and is
-not checked again. naive and eulerian go
+progression, in O(length) and no pair table; the splice and its
+certificate share one cover check (CoverPlan.covers). --shrink then
+deletes the p-n most frequent symbols of the certified splice and
+relabels the rest; deletion never moves two remaining occurrences further
+apart and the relabelling is injective, so the shrunk sequence is
+k-radius too and is not checked again. naive and eulerian go
 through sequences.verify, which marks every pair within distance k in an
 n*n table.
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import kradius, numtheory, sequences
 from .errors import CoverIncomplete, NotKRadiusPrime
@@ -45,6 +46,12 @@ class CoverPlan:
         """|D|(p+k-1)+1, the length of the plan's spliced sequence."""
         return len(self.multipliers) * (self.p + self.k - 1) + 1
 
+    @cached_property
+    def covers(self) -> bool:
+        """verify_cover's verdict, computed once per plan: a plan is
+        immutable, so sequence_from_cover and splice_pieces share it."""
+        return verify_cover(self)[0]
+
 
 def block_B(d: int, k: int, p: int) -> set[int]:
     """The 2k-element set d*{+-1,...,+-k} mod p: block_A and its negations."""
@@ -76,6 +83,36 @@ def verify_cover(plan: CoverPlan) -> tuple[bool, set[int]]:
     return not uncovered, uncovered
 
 
+def irredundant(plan: CoverPlan) -> CoverPlan:
+    """The plan without each multiplier, taken in the plan's order, whose
+    block B(d) is covered by the multipliers still kept.
+
+    A residue x lies in B(d) exactly when p-x does, so the pass counts,
+    for each pair {x, p-x}, the kept blocks that hold it; B(d) holds k
+    such pairs, as p >= 2k+1. A multiplier is dropped when every pair of
+    its block is counted at least twice, and its counts go down. A kept
+    multiplier holds a pair counted once, which no later drop can touch,
+    so the result is irredundant: dropping any one of its multipliers
+    uncovers some residue. It covers what the plan covers, keeps the
+    plan's order, and costs O(|D|*k).
+    """
+    p, k = plan.p, plan.k
+    blocks = [[min(x, p - x) for x in (j * d % p for j in range(1, k + 1))]
+              for d in plan.multipliers]
+    count = [0] * p
+    for block in blocks:
+        for x in block:
+            count[x] += 1
+    kept = []
+    for d, block in zip(plan.multipliers, blocks):
+        if min(map(count.__getitem__, block)) > 1:
+            for x in block:
+                count[x] -= 1
+        else:
+            kept.append(d)
+    return CoverPlan(p, k, tuple(kept))
+
+
 def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     """Splice one progression segment per multiplier into a k-radius sequence.
 
@@ -91,8 +128,7 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     made per symbol, and a segment takes about d/_TABLE_REPEATS slices.
     The result has length exactly ``plan.length``, |D|(p+k-1)+1.
     """
-    ok, _ = verify_cover(plan)
-    if not ok:
+    if not plan.covers:
         raise CoverIncomplete(f"plan for p={plan.p}, k={plan.k} does not cover Z_p*")
     p, k = plan.p, plan.k
     # entry i is i mod p
@@ -131,7 +167,7 @@ def splice_pieces(plan: CoverPlan, seq: RadiusSequence) -> tuple[int | None, arr
     segment i takes about d_i/_TABLE_REPEATS pieces.
     """
     p, k = plan.p, plan.k
-    if (seq.n, seq.k, len(seq)) != (p, k, plan.length) or not verify_cover(plan)[0]:
+    if (seq.n, seq.k, len(seq)) != (p, k, plan.length) or not plan.covers:
         return -1, array("q")
     table = array("I", range(p)) * _copies(plan)
     last = len(table) - 1

@@ -18,7 +18,7 @@ from itertools import repeat
 from operator import add, floordiv, mod, mul, sub
 
 from . import logarithms, numtheory
-from .covers import CoverPlan, coset_minima, sequence_from_cover
+from .covers import CoverPlan, coset_minima, irredundant, sequence_from_cover
 from .errors import BadPrime, NotBijective, OutOfRange
 from .sequences import RadiusSequence
 
@@ -216,7 +216,13 @@ def admissible_prime(n: int, k: int) -> int:
 
 @dataclass(frozen=True)
 class TilingReport:
-    """Machine-readable record of one pipeline run."""
+    """Machine-readable record of one pipeline run.
+
+    translate_count is w, the tiling translates meeting the fundamental
+    region, of the chosen logarithm; cover_size counts the multipliers of
+    the plan, after covers.irredundant has dropped the redundant ones, so
+    it can fall below the coset pairs times w, and seq_length is that
+    plan's length."""
 
     p: int
     k: int
@@ -238,10 +244,13 @@ def tiling_plan(
     measurements; the length and the ratio, which compares it against
     C(n,2)/k, are the plan's, so no symbol is made. When no logarithm is
     supplied, the first CANDIDATES search representatives are compared by
-    measured translate count (then cover size) and the best one is used;
-    the count depends only on the tiling lattice, so scalar-equivalent
-    logarithms measure alike. A prime with (p-1)/2 above MAX_HALF_ORDER
-    raises OutOfRange before the subgroup walk.
+    measured translate count (then cover size before pruning) and the best
+    one is used; the count depends only on the tiling lattice, so
+    scalar-equivalent logarithms measure alike. The chosen cover, one run
+    of multipliers per coset pair, then goes once through
+    covers.irredundant, and the plan, its cover_size and its length are
+    the pruned ones; translate_count stays w. A prime with (p-1)/2 above
+    MAX_HALF_ORDER raises OutOfRange before the subgroup walk.
     """
     if n < 2:
         raise OutOfRange("n must be >= 2")
@@ -271,7 +280,9 @@ def tiling_plan(
     reps = coset_minima(p, region)
     if 2 * len(reps) * ell != p - 1:
         raise AssertionError("coset decomposition of Z_p* is inconsistent")
-    plan = CoverPlan(p, k, tuple(c * d % p for c in reps for d in multipliers))
+    # translates at the region's boundary overlap modulo the relation
+    # lattice, so some blocks are covered by the others
+    plan = irredundant(CoverPlan(p, k, tuple(c * d % p for c in reps for d in multipliers)))
     report = TilingReport(
         p=p,
         k=k,

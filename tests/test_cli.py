@@ -167,6 +167,31 @@ class TestConstruct:
 
     @pytest.mark.parametrize(
         "argv",
+        [
+            *SHRINK_CASES,
+            ("--n", "7", "--k", "3", "--strategy", "prime"),
+            ("--n", "20", "--k", "2", "--strategy", "tiling"),
+            ("--n", "30", "--k", "2", "--strategy", "two-radius", "--format", "json"),
+        ],
+        ids=[*SHRINK_IDS, "prime", "tiling", "two-radius-json"],
+    )
+    def test_checks_the_cover_once(self, capsys, monkeypatch, argv):
+        # sequence_from_cover and the certificate share the plan's one
+        # verify_cover verdict
+        plans = []
+        verify_cover = cv.verify_cover
+
+        def counted(plan):
+            plans.append(plan)
+            return verify_cover(plan)
+
+        monkeypatch.setattr(cv, "verify_cover", counted)
+        code, out, _ = run_cli(capsys, "construct", *argv)
+        assert code == 0
+        assert len(plans) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
         [("two-radius",), ("prime",), ("tiling",), ("prime", "--shrink")],
         ids=["two-radius", "prime", "tiling", "prime-shrink"],
     )
@@ -258,10 +283,12 @@ STDOUT_PINS = {
         "aff7f65ca9ed150ad74f5e5709a9547482b0a50e160cd6864b7073bc661dd1fe",
     ("1400", "3", "prime", "text", "--shrink"):
         "39e91978f1638ad264fac68f829564dbe6737b21fd42e000fceb78e1433b81ff",
+    # the three tiling rows: recorded after covers.irredundant pruned the
+    # tiling plans (UNPRUNED_STDOUT_PINS holds them from before)
     ("1000", "6", "tiling", "text"):
-        "d2fc32aa5cfe23798f3e2f4ff0af93355ee9b14d018c8897d45d0ecc7ed92879",
+        "7783afe91f1a9f7444b8cf6fdf92475192d6518edd21a034452208eb0ae1d827",
     ("1000", "6", "tiling", "json"):
-        "ee27bb791bc1f8e81baff85c9b41bde2bfdedfb64ac3c1dc6fc34738d5157a7a",
+        "6fd47a40f2dd86cff3aaa9a9c7995052d321d4c1d32ba5e9cb389465cab4cec2",
     ("10", "2", "two-radius", "text"):
         "99ccf28fdcd2e0f5bfdc937829d7a764ea0fbcd4cc352f9a7a76015fd4903cf8",
     # recorded before certified splices were written from their checked pieces
@@ -269,6 +296,17 @@ STDOUT_PINS = {
         "018273e033987f4522c494760c000e2b24e29ff7009a9c257e636f900ce52c23",
     ("1140", "2", "two-radius", "json"):
         "269ceb59af69750aaa87b754a33c2c22228f450f0258ee20cd8c487cc74a67e9",
+    ("200", "6", "tiling", "text", "--shrink"):
+        "9fecf588fdb78f1b89a0d4e5b890e82f20437854751e6a5e768b4051f8b2a7c7",
+}
+
+# the tiling rows of STDOUT_PINS as recorded before covers.irredundant
+# pruned the tiling plans: without the pass, the same logarithm is chosen
+UNPRUNED_STDOUT_PINS = {
+    ("1000", "6", "tiling", "text"):
+        "d2fc32aa5cfe23798f3e2f4ff0af93355ee9b14d018c8897d45d0ecc7ed92879",
+    ("1000", "6", "tiling", "json"):
+        "ee27bb791bc1f8e81baff85c9b41bde2bfdedfb64ac3c1dc6fc34738d5157a7a",
     ("200", "6", "tiling", "text", "--shrink"):
         "0cd4ec2a2bd976be46f372f1f9b4f781f80d2cc7408dd15727587008ba01b085",
 }
@@ -285,6 +323,13 @@ class TestStreamedOutput:
         code, out, _ = run_cli(capsys, *construct_argv(*case))
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == STDOUT_PINS[case]
+
+    @pytest.mark.parametrize("case", list(UNPRUNED_STDOUT_PINS), ids=" ".join)
+    def test_pinned_stdout_before_the_pass(self, capsys, monkeypatch, case):
+        monkeypatch.setattr(tl, "irredundant", lambda plan: plan)
+        code, out, _ = run_cli(capsys, *construct_argv(*case))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == UNPRUNED_STDOUT_PINS[case]
 
     @pytest.mark.parametrize("length", [0, 1, 3, 4, 7])
     def test_chunked_json_equals_dumps(self, monkeypatch, length):

@@ -170,6 +170,20 @@ class TestSequenceFromCover:
         with pytest.raises(CoverIncomplete):
             cv.sequence_from_cover(cv.CoverPlan(7, 2, (1,)))
 
+    def test_cover_checked_once_per_plan(self, monkeypatch):
+        # a plan is immutable, so sequence_from_cover and the certificate
+        # share one verify_cover verdict, and each keeps its contract
+        calls = []
+        verify_cover = cv.verify_cover
+        monkeypatch.setattr(cv, "verify_cover", lambda plan: calls.append(plan) or verify_cover(plan))
+        gap = cv.CoverPlan(7, 2, (1,))
+        with pytest.raises(CoverIncomplete):
+            cv.sequence_from_cover(gap)
+        assert cv.check_splice(gap, sq.RadiusSequence(7, 2, splice(7, 2, (1,)))) == -1
+        plan = cv.CoverPlan(7, 2, (1, 4))
+        assert cv.check_splice(plan, cv.sequence_from_cover(plan)) is None
+        assert calls == [gap, plan]
+
     def test_random_covering_plans(self):
         import random
 
@@ -384,6 +398,45 @@ class TestSplicePieces:
         labels, length = cv.shrink_labels(plan, seq, x)
         assert labels == sq._relabelling(freq, x)
         assert length == len(sq._drop_frequent(seq, x))
+
+
+def covered(p, k, multipliers):
+    return set().union(*(cv.block_B(d, k, p) for d in multipliers))
+
+
+class TestIrredundant:
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_keeps_the_covered_set_and_nothing_redundant(self, data):
+        if data.draw(st.booleans()):
+            plan = data.draw(shuffled_covers())
+        else:
+            # a random multiplier list, completed to a cover or not
+            plan = cv.CoverPlan(*random_multipliers(data.draw, 61, data.draw(st.booleans())))
+        p, k, mult = plan.p, plan.k, plan.multipliers
+        kept = cv.irredundant(plan)
+        assert (kept.p, kept.k) == (p, k)
+        # a subsequence of the plan: each kept multiplier is found, in order
+        rest = iter(mult)
+        assert all(d in rest for d in kept.multipliers)
+        assert covered(p, k, kept.multipliers) == covered(p, k, mult)
+        # oracle: dropping any one kept multiplier uncovers some residue
+        for i in range(len(kept.multipliers)):
+            others = kept.multipliers[:i] + kept.multipliers[i + 1:]
+            assert covered(p, k, others) != covered(p, k, mult), (plan, i)
+
+    @pytest.mark.parametrize("p,k", [(3181, 5), (1447, 3), (7, 3)])
+    def test_partition_is_kept_whole(self, p, k):
+        plan = cv.prime_cover(p, k)
+        assert cv.irredundant(plan) == plan
+
+    def test_example(self):
+        # mod 7, B(1) = {1, 2, 5, 6}, B(2) = {2, 3, 4, 5} and B(4) = {1, 3,
+        # 4, 6} each lie in the union of the other two: whichever comes
+        # first goes, and then both others are needed
+        assert cv.irredundant(cv.CoverPlan(7, 2, (1, 2, 4))).multipliers == (2, 4)
+        assert cv.irredundant(cv.CoverPlan(7, 2, (2, 1, 4))).multipliers == (1, 4)
+        assert cv.irredundant(cv.CoverPlan(7, 2, (4, 1, 2))).multipliers == (1, 2)
 
 
 class TestTwoRadiusCover:

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import itertools
 import math
@@ -207,6 +208,59 @@ def test_region_cover_matches_locate_in_low_rank(k):
             assert region == {1: ()} and w == 1
 
 
+def _plan_before_pass(n, k, f=None):
+    """tiling_plan(n, k, f), and the plan it gave covers.irredundant."""
+    before = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tl, "irredundant", lambda plan: before.append(plan) or cv.irredundant(plan))
+        plan, rep = tl.tiling_plan(n, k, f)
+    return plan, rep, before[0]
+
+
+ADMISSIBLE = [(p, k) for k in range(1, 11) for p in _admissible_below(k, 2000)]
+
+
+class TestIrredundantTiling:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(ADMISSIBLE))
+    def test_pruned_plan_is_an_irredundant_cover(self, case):
+        p, k = case
+        plan, rep, before = _plan_before_pass(p, k)
+        kept, full = plan.multipliers, before.multipliers
+        assert (plan.p, plan.k, before.p) == (p, k, p)
+        # a subset of the assembled plan, in its order
+        rest = iter(full)
+        assert all(d in rest for d in kept)
+        assert cv.verify_cover(plan)[0]
+        # dropping any one kept multiplier uncovers the residues that only
+        # its block holds
+        holders = collections.Counter(x for d in kept for x in cv.block_B(d, k, p))
+        for d in kept:
+            assert min(holders[x] for x in cv.block_B(d, k, p)) == 1, (p, k, d)
+        assert rep.cover_size == len(kept) <= len(full)
+        assert rep.seq_length == plan.length
+        assert len(full) <= rep.coset_count // 2 * rep.translate_count
+
+    def test_hand_checked_p239_k6(self):
+        plan, rep, before = _plan_before_pass(239, 6)
+        assert before.multipliers == (
+            1, 6, 8, 10, 18, 25, 33, 34, 44, 48, 54, 58, 60, 62, 64, 67, 80, 98, 110,
+            113, 127, 162, 163, 180, 186, 187, 193, 200, 225)
+        dropped = (6, 80, 180)
+        assert plan.multipliers == tuple(d for d in before.multipliers if d not in dropped)
+        assert (len(before.multipliers), rep.cover_size) == (29, 26)
+        # i * d = j * e mod 239 for a kept e: entry i - 1 is (e, j), 1 <= j <= 6
+        covered_by = {
+            6: [(1, 6), (98, 5), (18, 1), (8, 3), (10, 3), (18, 2)],
+            80: [(186, 3), (186, 6), (1, 1), (64, 5), (200, 2), (1, 2)],
+            180: [(60, 3), (60, 6), (62, 1), (1, 3), (225, 4), (62, 2)],
+        }
+        for d, witnesses in covered_by.items():
+            for i, (e, j) in enumerate(witnesses, 1):
+                assert e in plan.multipliers and 1 <= j <= 6
+                assert i * d % 239 == j * e % 239, (d, i)
+
+
 def _dot(u, v):
     return sum(x * y for x, y in zip(u, v))
 
@@ -317,9 +371,15 @@ class TestTilingSequence:
             assert rep.seq_length > math.comb(rep.p, 2) / k
 
 
-# Reports and symbol digests recorded from the pipeline that reduced the
-# region with rational arithmetic and rebuilt it for every candidate
-# logarithm; the integer-only, build-once pipeline must reproduce them.
+def _digest(values):
+    return hashlib.sha256(",".join(map(str, values)).encode()).hexdigest()
+
+
+# Reports and symbol digests of the plans before covers.irredundant, as the
+# (w, unpruned |D|) ranking chooses them: they pin the candidate choice.
+# Recorded from the pipeline that reduced the region with rational
+# arithmetic and rebuilt it for every candidate logarithm; the
+# integer-only, build-once pipeline must reproduce them.
 PINNED = [
     (239, 6, False, (239, 6, 119, 2, 37, 29, 7077, Fraction(6066, 4063)),
      "c0aa491e5f9f76749ff2d5d9d73c46d596b7bd7c0e37f7ec8e77044f09098c78"),
@@ -330,29 +390,61 @@ PINNED = [
     (1000, 10, True, (3359, 10, 1679, 2, 392, 383, 1289945, Fraction(257989, 9990)),
      "2a905a639ae9771cc060b9d7014f02800dde44de98f06540bc20991bfd73e769"),
 ]
+# The same plans after the pass: the report and symbol digest that
+# tiling_sequence returns, recorded once the irredundancy property tests
+# and the verify command passed on them.
+PRUNED = {
+    (239, 6, False): ((239, 6, 119, 2, 37, 26, 6345, Fraction(38070, 28441)),
+                      "54fbc281cf2552d74afff67646a942d244e338ef22ed98ec43c20c341cdfb5c6"),
+    (1000, 6, False): ((1319, 6, 659, 2, 173, 144, 190657, Fraction(190657, 83250)),
+                       "71b775452874e153dd48bf5dade95d661071237f71f0f852561f8253b2eec37a"),
+    (1000, 10, False): ((3359, 10, 1679, 2, 385, 255, 858841, Fraction(858841, 49950)),
+                        "b80f0811385d839d9fd6570425730129a5dc1b42d1f9895b8c119545215a85ba"),
+    (1000, 10, True): ((3359, 10, 1679, 2, 392, 259, 872313, Fraction(290771, 16650)),
+                       "ea84dcc0c64fc7c7ceefffc2c2c9450adcef374aa3af65a9e6f26974a33b67bd"),
+}
 
 
 @pytest.mark.parametrize("n,k,explicit,report,digest", PINNED)
-def test_pinned_report_and_symbols(n, k, explicit, report, digest):
-    seq, rep = tl.tiling_sequence(n, k, lg.search(k) if explicit else None)
-    assert rep == tl.TilingReport(*report)
-    assert hashlib.sha256(",".join(map(str, seq.symbols)).encode()).hexdigest() == digest
-    plan, plan_rep = tl.tiling_plan(n, k, lg.search(k) if explicit else None)
+def test_pinned_report_and_symbols(monkeypatch, n, k, explicit, report, digest):
+    f = lg.search(k) if explicit else None
+    seq, rep = tl.tiling_sequence(n, k, f)
+    pruned_report, pruned_digest = PRUNED[n, k, explicit]
+    assert rep == tl.TilingReport(*pruned_report)
+    assert _digest(seq.symbols) == pruned_digest
+    plan, plan_rep = tl.tiling_plan(n, k, f)
     assert plan_rep == rep and plan.length == len(seq)
+    monkeypatch.setattr(tl, "irredundant", lambda plan: plan)
+    seq, rep = tl.tiling_sequence(n, k, f)
+    assert rep == tl.TilingReport(*report)
+    assert _digest(seq.symbols) == digest
 
 
 # Larger cases, pinned by report and plan digest only (no splice): the
 # plan fixes the symbols, and hashing the multipliers keeps these fast.
+# As in PINNED, the rows are the plans before the pass and PRUNED_PLANS
+# the plans after it.
 PINNED_PLANS = [
     (4200, 8, (5039, 8, 2519, 2, 661, 629, 3173935, Fraction(1269574, 440895)),
      "96dcb3b86da7ea0d4058b2fec40879b9e0831c4a6d988deb4617c1e44da732ef"),
     (3000, 12, (9239, 12, 4619, 2, 1200, 1147, 10609751, Fraction(10609751, 374875)),
      "032572f9d3295378f1f6e858e1048c1331e5b8afd8cef2876b215386128073f8"),
 ]
+PRUNED_PLANS = {
+    (4200, 8): ((5039, 8, 2519, 2, 661, 450, 2270701, Fraction(4541402, 2204475)),
+                "e3f62d4a3c66fea531e6e73d489b3c06a4b0f4300ac10b721daf645f32c5fe33"),
+    (3000, 12): ((9239, 12, 4619, 2, 1200, 696, 6438001, Fraction(6438001, 374875)),
+                 "4e3a6cc115beb233588c341d094b5be7f7c0ef95be89be31b44e7be0481b9e20"),
+}
 
 
 @pytest.mark.parametrize("n,k,report,digest", PINNED_PLANS)
-def test_pinned_report_and_plan(n, k, report, digest):
+def test_pinned_report_and_plan(monkeypatch, n, k, report, digest):
+    plan, rep = tl.tiling_plan(n, k)
+    pruned_report, pruned_digest = PRUNED_PLANS[n, k]
+    assert rep == tl.TilingReport(*pruned_report)
+    assert _digest(plan.multipliers) == pruned_digest
+    monkeypatch.setattr(tl, "irredundant", lambda plan: plan)
     plan, rep = tl.tiling_plan(n, k)
     assert rep == tl.TilingReport(*report)
-    assert hashlib.sha256(",".join(map(str, plan.multipliers)).encode()).hexdigest() == digest
+    assert _digest(plan.multipliers) == digest
