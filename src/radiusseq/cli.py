@@ -7,23 +7,23 @@ results, 2 when the library or the CLI raises OutOfRange. Identical
 requests produce byte-identical reports.
 
 construct prints only a checked sequence, and "verified": true in its JSON
-names that check. The cover strategies (two-radius, prime, tiling) are
-checked by the splice certificate (covers.splice_pieces, the walk of
-covers.check_splice): the plan covers Z_p* and every segment is a step-d
-progression, in O(length) and no pair table; the splice and its
-certificate share one cover check (CoverPlan.covers). --shrink then
+names that check. Every length is known before a symbol exists, and one
+above --max-length exits 2. The cover strategies (two-radius, prime,
+tiling) make no sequence: covers.plan_pieces walks the plan into
+(start, stop, step) triples into a residue table, and covers.check_pieces
+certifies them in O(pieces + |D|*k) with no pair table. --shrink then
 deletes the p-n most frequent symbols of the certified splice and
 relabels the rest; deletion never moves two remaining occurrences further
-apart and the relabelling is injective, so the shrunk sequence is
-k-radius too and is not checked again. naive and eulerian go
-through sequences.verify, which marks every pair within distance k in an
-n*n table.
+apart and the relabelling is injective, so the shrunk sequence is k-radius
+too and is not checked again. naive and eulerian go through
+sequences.verify, which marks every pair within distance k in an n*n table.
 
-A certified splice is printed from the pieces its certificate checked
-(covers.splice_pieces): each is a strided slice of the residue table that
-compared equal to its place in the sequence, written as the names of
-that slice, relabelled by covers.shrink_labels under --shrink. Nothing
-is written before the whole certificate passes. naive and eulerian are
+covers.splice_runs writes each certified triple as names[start:stop:step]
+over the names of the residue table, relabelled by covers.shrink_labels
+under --shrink. So the bytes spell out the certified progressions, given
+that table entry x holds x mod p and that splice_runs writes what it is
+given (TestPieceWriter checks it against the generic writer). Nothing is
+written before the whole certificate passes. naive and eulerian are
 written symbol by symbol (sequences.symbol_runs); text and JSON frame
 either source the same way.
 """
@@ -36,11 +36,16 @@ import functools
 import json
 import math
 import sys
+from array import array
+from itertools import chain
 
 from . import covers, kradius, logarithms, numtheory, sequences, tilings
 from .errors import OutOfRange, RadiusSeqError
 
 STRATEGIES = ("naive", "eulerian", "two-radius", "prime", "tiling")
+# construct's default --max-length: the (3000, 12) tiling splice has
+# 6,438,001 symbols, and (50, 9) prime, which picks p = 27,127, 40,892,446
+DEFAULT_MAX_LENGTH = 10_000_000
 
 
 def _check_positive(name: str, value: int) -> None:
@@ -110,20 +115,28 @@ def _cmd_verify(args) -> int:
     return 0 if count == 0 else 1
 
 
+def _check_length(length: int, max_length: int) -> None:
+    if length > max_length:
+        raise OutOfRange(f"the sequence would have {length} symbols, "
+                         f"more than --max-length {max_length}")
+
+
 def _construct(args):
     """Returns (sequence, cover_plan, tiling_report) for the requested
-    strategy; the cover strategies splice their plan here, and entries a
-    strategy does not produce are None."""
+    strategy, each length checked against --max-length first: a cover
+    strategy makes its plan and no sequence. Entries not produced are None."""
     n, k = args.n, args.k
     _check_positive("n", n)
     _check_positive("k", k)
     if args.cover_out and args.strategy in ("naive", "eulerian"):
         raise OutOfRange(f"strategy '{args.strategy}' has no cover plan for --cover-out")
     if args.strategy == "naive":
+        _check_length(2 * math.comb(n, 2), args.max_length)
         return sequences.naive_sequence(n, k), None, None
     if args.strategy == "eulerian":
         if k != 1:
             raise OutOfRange("strategy 'eulerian' requires k=1")
+        _check_length(sequences.one_radius_length(n), args.max_length)
         return sequences.one_radius_optimal(n), None, None
     report = None
     if args.strategy == "two-radius":
@@ -141,36 +154,34 @@ def _construct(args):
     else:
         # argparse's choices=STRATEGIES leaves "tiling" as the only other value
         plan, report = tilings.tiling_plan(n, k)
-    return covers.sequence_from_cover(plan), plan, report
+    _check_length(plan.length, args.max_length)
+    return None, plan, report
 
 
 def _cmd_construct(args) -> int:
     seq, plan, report = _construct(args)
-    if seq is None:
+    if seq is None and plan is None:
         print(f"no {args.k}-radius prime found at or above {args.n}", file=sys.stderr)
         return 1
+    # the symbols are written by one of two run sources, each a function of
+    # the separator: every symbol, or the certified splice's pieces
     if plan is None:
-        ok = sequences.verify(seq)[0]
+        ok, n, length, p = sequences.verify(seq)[0], seq.n, len(seq), None
+        runs = functools.partial(sequences.symbol_runs, seq.symbols)
     else:
-        failed, pieces = covers.splice_pieces(plan, seq)
-        ok = failed is None
+        pieces = array("q", chain.from_iterable(
+            covers.plan_pieces(plan, chunk=sequences._WRITE_CHUNK)))
+        ok = covers.check_pieces(plan, pieces) is None
+        p = n = plan.p
+        length, labels = plan.length, range(p)
+        if ok and args.shrink and p > args.n:
+            # shrinking a certified splice keeps it k-radius (module docstring)
+            n = args.n
+            labels, length = covers.shrink_labels(plan, pieces, p - n)
+        runs = functools.partial(covers.splice_runs, plan, pieces, labels)
     if not ok:
         print("constructed sequence failed verification", file=sys.stderr)
         return 1
-    # the symbols are written by one of two run sources, each a function of
-    # the separator: the certified splice's checked pieces, or every symbol
-    n, length = seq.n, len(seq)
-    if plan is None:
-        p = None
-        runs = functools.partial(sequences.symbol_runs, seq.symbols)
-    else:
-        p, labels = plan.p, range(plan.p)
-        if args.shrink and p > args.n:
-            # shrinking a certified splice keeps it k-radius (module docstring)
-            n = args.n
-            labels, length = covers.shrink_labels(plan, seq, p - n)
-        runs = functools.partial(covers.splice_runs, plan, pieces, labels)
-        del seq  # the pieces and labels are all that is written from here
     if args.cover_out:
         _write(args.cover_out, [covers.format_cover(plan)])
     if args.format == "json":
@@ -318,6 +329,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_cons.add_argument("--output", help="write the sequence here instead of stdout")
     p_cons.add_argument("--cover-out", help="also write the cover plan to this file")
     p_cons.add_argument("--horizon", type=int, default=kradius.DEFAULT_HORIZON)
+    p_cons.add_argument("--max-length", type=int, default=DEFAULT_MAX_LENGTH,
+                        help="refuse (exit 2), before any symbol is made, a sequence "
+                             f"longer than this (default {DEFAULT_MAX_LENGTH:,})")
     p_cons.add_argument("--format", choices=("text", "json"), default="text")
     p_cons.set_defaults(func=_cmd_construct)
 

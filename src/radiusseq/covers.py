@@ -11,12 +11,13 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 from . import kradius, numtheory, sequences
 from .errors import CoverIncomplete, NotKRadiusPrime
 from .sequences import RadiusSequence, content_lines, parse_fields
 
-# copies of 0..p-1 in sequence_from_cover's residue table: on the tiling
+# copies of 0..p-1 in plan_pieces' residue table: on the tiling
 # covers at p = 1,319 to 7,079, 16 spliced 2-4x slower, and 256 was no
 # faster from p = 3,359 on with a table 4x the size
 _TABLE_REPEATS = 64
@@ -49,7 +50,7 @@ class CoverPlan:
     @cached_property
     def covers(self) -> bool:
         """verify_cover's verdict, computed once per plan: a plan is
-        immutable, so sequence_from_cover and splice_pieces share it."""
+        immutable, so sequence_from_cover and check_pieces share it."""
         return verify_cover(self)[0]
 
 
@@ -113,133 +114,132 @@ def irredundant(plan: CoverPlan) -> CoverPlan:
     return CoverPlan(p, k, tuple(kept))
 
 
-def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
-    """Splice one progression segment per multiplier into a k-radius sequence.
+def plan_pieces(plan: CoverPlan, start: int = 0, chunk: int | None = None):
+    """Yield the plan's splice from residue `start` as (start, stop, step)
+    triples into the residue table, min(_TABLE_REPEATS, |D|) copies of
+    0..p-1. Segment i is the p+k terms of the step-d_i progression from its
+    junction: `start`, or the last term of the segment before, after which
+    it starts. Each piece is the longest slice that ends inside the table
+    and holds at most `chunk` terms (no cap for None), about
+    d_i/_TABLE_REPEATS a segment. check_pieces certifies them."""
+    p, k = plan.p, plan.k
+    last = p * _copies(plan) - 1
+    chunk = chunk or p + k
+    junction, lo = start, 0
+    for d in plan.multipliers:
+        s, left = (junction + lo * d) % p, p + k - lo
+        while left:
+            m = min(left, (last - s) // d + 1, chunk)
+            yield s, s + m * d, d
+            s, left = (s + m * d) % p, left - m
+        junction, lo = (s - d) % p, 1
 
-    Segment i is the p+k terms (a_i+j)*d_i mod p, j = 0..p+k-1, of the
-    step-d_i progression, with its phase in closed form: a_i =
-    start*d_i^-1 mod p makes its first term the junction value start (0
-    for the first segment), and the next junction is (a_i+p+k-1)*d_i mod p.
-    Every later segment starts one step on, which merges the repeated
-    junction away. Each segment is copied from strided slices of one
-    residue table, min(_TABLE_REPEATS, |D|) copies of 0..p-1, in which
-    ``table[s : s + m*d : d]`` is m consecutive terms of the step-d
-    progression from residue s. The array copies them in C, so no int is
-    made per symbol, and a segment takes about d/_TABLE_REPEATS slices.
-    The result has length exactly ``plan.length``, |D|(p+k-1)+1.
-    """
+
+def check_pieces(plan: CoverPlan, pieces) -> int | None:
+    """The splice certificate, on the triples alone: None when `pieces`,
+    (start, stop, step) triples into the residue table laid end to end,
+    spell out a splice of `plan`, else -1 for a plan that does not cover,
+    a partial triple or one past the last segment, else the first failing
+    segment. Segment i passes when each of its triples has step d_i, holds
+    a term, lies inside the table and starts, mod p, where the one before
+    stopped, and they hold p+k terms (segment 0) or p+k-1 from one step
+    past the last term of the segment before. Table entry x is x mod p, so
+    each segment with that junction is a step-d_i progression of p+k
+    terms, holding each pair {x, x + j*d_i}, j <= k, within distance j: a
+    cover makes that every pair, so sequences.verify would accept the
+    splice. O(pieces + |D|*k)."""
+    p, k = plan.p, plan.k
+    if len(pieces) % 3 or not plan.covers:
+        return -1
+    last = p * _copies(plan) - 1
+    triples = zip(*[iter(pieces)] * 3)
+    # segment 0 starts where its first triple does
+    junction, lo = (pieces[0] % p if pieces else 0), 0
+    for i, d in enumerate(plan.multipliers):
+        # `at` is where the last triple stopped, mod p
+        at, left = (junction + lo * d) % p, p + k - lo
+        while left:
+            # a missing triple fails: no multiplier is 0
+            s, stop, step = next(triples, (-1, 0, 0))
+            m = len(range(s, stop, d))
+            if step != d or not 0 < m <= left or s < 0 or s + (m - 1) * d > last or s % p != at:
+                return i
+            at, left = (s + m * d) % p, left - m
+        junction, lo = (at - d) % p, 1
+    return None if next(triples, None) is None else -1
+
+
+def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
+    """Splice one progression segment per multiplier into a k-radius
+    sequence of length ``plan.length``: the pieces of plan_pieces(plan),
+    each copied in C from its strided slice of the residue table."""
     if not plan.covers:
         raise CoverIncomplete(f"plan for p={plan.p}, k={plan.k} does not cover Z_p*")
-    p, k = plan.p, plan.k
-    # entry i is i mod p
-    table = array("I", range(p)) * _copies(plan)
-    last = len(table) - 1
+    table = array("I", range(plan.p)) * _copies(plan)
     symbols = array("I")
-    start = lo = 0
-    for d in plan.multipliers:
-        a = start * pow(d, -1, p) % p
-        s = (a + lo) * d % p
-        left = p + k - lo
-        while left:
-            # the longest slice from s that ends inside the table
-            m = min(left, (last - s) // d + 1)
-            symbols += table[s:s + m * d:d]
-            s = (s + m * d) % p
-            left -= m
-        start = (a + p + k - 1) * d % p
-        lo = 1
-    seq = RadiusSequence(p, k, symbols)
+    for s, stop, d in plan_pieces(plan):
+        symbols += table[s:stop:d]
+    seq = RadiusSequence(plan.p, plan.k, symbols)
     if len(seq) != plan.length:
         raise AssertionError("constructed length deviates from plan.length")
     return seq
 
 
-def splice_pieces(plan: CoverPlan, seq: RadiusSequence) -> tuple[int | None, array]:
-    """check_splice's verdict on `seq`, and the pieces it compared.
-
-    The pieces are slices of the residue table, ``array("I", range(p))
-    * _copies(plan)``, whose terms in order are the symbols of `seq`: an
-    array of (start, stop, step) triples, each ``table[start:stop:step]``
-    compared equal to the symbols at its place. None spans more than
-    sequences._WRITE_CHUNK symbols, and none holds the first symbol of a
-    later segment, which is the last of the one before. The array is
-    empty unless the verdict is None; it holds 24 bytes a piece, and
-    segment i takes about d_i/_TABLE_REPEATS pieces.
-    """
+def check_splice(plan: CoverPlan, seq: RadiusSequence) -> int | None:
+    """None when `seq`, a sequence read from outside, is a certified
+    splice of `plan`, else -1 for a plan that does not cover Z_p* or a
+    sequence whose n, k or length is not the plan's, otherwise the index
+    of the first failing segment; segment i holds positions
+    [i(p+k-1), i(p+k-1)+p+k). `seq` passes when it equals, slice against
+    table slice in C, the certified plan_pieces from its first symbol."""
     p, k = plan.p, plan.k
     if (seq.n, seq.k, len(seq)) != (p, k, plan.length) or not plan.covers:
-        return -1, array("q")
-    table = array("I", range(p)) * _copies(plan)
-    last = len(table) - 1
+        return -1
     symbols = seq.symbols
-    pieces = array("q")
-    at = lo = 0
-    for i, d in enumerate(plan.multipliers):
-        # segment 0 runs from its own first symbol, which fails the
-        # comparison at or past p, as the table holds residues only; a
-        # later one from one step past the last symbol compared before it
-        s = (symbols[at - lo] + lo * d) % p
-        end = at + p + k - lo
-        while at < end:
-            # the longest slice from s that ends inside the table
-            m = min(end - at, (last - s) // d + 1, sequences._WRITE_CHUNK)
-            if symbols[at:at + m] != table[s:s + m * d:d]:
-                return i, array("q")
-            pieces.extend((s, s + m * d, d))
-            s = (s + m * d) % p
-            at += m
-        lo = 1
-    return None, pieces
+    if symbols[0] >= p:
+        return 0
+    pieces = array("q", chain.from_iterable(plan_pieces(plan, symbols[0])))
+    failed = check_pieces(plan, pieces)
+    if failed is not None:
+        return failed
+    table = array("I", range(p)) * _copies(plan)
+    at = 0
+    for s, stop, d in zip(*[iter(pieces)] * 3):
+        run = table[s:stop:d]
+        if symbols[at:at + len(run)] != run:
+            # a piece lies inside one segment
+            return max(0, (at - 1) // (p + k - 1))
+        at += len(run)
+    return None
 
 
-def check_splice(plan: CoverPlan, seq: RadiusSequence) -> int | None:
-    """None when `seq` is a certified splice of `plan`, else what fails:
-    -1 for a plan that does not cover Z_p* or a sequence whose n, k or
-    length is not the plan's p, k and length, otherwise the index of the
-    first failing segment.
-
-    Segment i holds positions [i(p+k-1), i(p+k-1)+p+k), so consecutive
-    segments share one symbol; it passes when its first symbol s is below
-    p and it equals the step-d_i progression (s + j*d_i) mod p, j =
-    0..p+k-1. Such a segment holds every pair {x, x + j*d_i}, 1 <= j <= k,
-    within distance j, and a cover makes every pair of distinct residues
-    one of these, so a certified splice is a p-ary k-radius sequence:
-    sequences.verify would accept it. This costs O(length + |D|*k) and no
-    pair table. Each segment is compared at C level, slice against the
-    strided slices of sequence_from_cover's residue table, so Python makes
-    about d_i/_TABLE_REPEATS steps per segment. Those slices are
-    splice_pieces, from which construct prints a certified splice.
-    """
-    return splice_pieces(plan, seq)[0]
-
-
-def shrink_labels(plan: CoverPlan, seq: RadiusSequence, x: int) -> tuple[list, int]:
+def shrink_labels(plan: CoverPlan, pieces, x: int) -> tuple[list, int]:
     """The labels that sequences._drop_frequent(seq, x) gives the residues
-    of `seq`, a certified splice of `plan` (None for a dropped one), and
-    the length of the sequence it leaves.
-
-    The frequencies are counted from |D|*k symbols: segment i's p+k terms
-    hold every residue once plus its first k terms again, and a later
-    segment's first term is the last of the one before, so residue r
-    occurs |D| times plus once per symbol r at positions i(p+k-1) + j,
-    (i > 0) <= j < k."""
+    of `seq`, the splice that certified `pieces` spell out (None for a
+    dropped one), and the length of the sequence it leaves. Residue r
+    occurs |D| times plus once per r among the first k terms of each
+    segment, junctions left out, which each segment's first triple gives."""
     p, k = plan.p, plan.k
     freq = [len(plan.multipliers)] * p
-    for i in range(len(plan.multipliers)):
-        at = i * (p + k - 1)
-        for s in seq.symbols[at + (i > 0):at + k]:
-            freq[s] += 1
+    at = first = 0  # the positions of the next triple and the next segment
+    for s, stop, d in zip(*[iter(pieces)] * 3):
+        if at == first:
+            lo = at > 0
+            for j in range(k - lo):
+                freq[(s + j * d) % p] += 1
+            first += p + k - lo
+        at += len(range(s, stop, d))
     labels = sequences._relabelling(freq, x)
     return labels, sum(f for f, label in zip(freq, labels) if label is not None)
 
 
 def splice_runs(plan: CoverPlan, pieces: array, labels, sep: str):
-    """Yield the symbols of the certified splice whose splice_pieces are
-    `pieces`, residue r written as labels[r] (left out where that is
-    None), joined by `sep` in runs of one piece: every run after the
-    first starts with `sep`. Each run is ``"".join(names[start:stop:step])``
-    over the residue table's layout of names, each name with its `sep` in
-    front, so Python makes one step per piece, not one per symbol."""
+    """Yield the symbols of the splice that certified `pieces` spell out,
+    residue r written as labels[r] (left out where that is None), joined by
+    `sep` in runs of one piece: every run after the first starts with
+    `sep`. Each run is ``"".join(names[start:stop:step])`` over the residue
+    table's layout of names, each with its `sep` in front, so Python makes
+    one step per piece, not one per symbol."""
     names = [sep + str(label) if label is not None else "" for label in labels] * _copies(plan)
     lead = len(sep)  # the first run's, cut off
     triples = iter(pieces)

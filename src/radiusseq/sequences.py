@@ -297,9 +297,13 @@ def naive_sequence(n: int, k: int) -> RadiusSequence:
     return RadiusSequence(n, k, symbols)
 
 
+def one_radius_length(n: int) -> int:
+    """The optimal 1-radius length: C(n,2) + 1 for odd n, C(n,2) + n/2 for even n."""
+    return math.comb(n, 2) + (n // 2 if n % 2 == 0 else 1)
+
+
 def one_radius_optimal(n: int) -> RadiusSequence:
-    """A 1-radius sequence of the exact optimal length: C(n,2) + 1 for odd
-    n, C(n,2) + n/2 for even n.
+    """A 1-radius sequence of the exact optimal length, one_radius_length(n).
 
     It is an Eulerian trail on the complete graph, so consecutive symbols
     differ; for even n a perfect matching on 2..n-1 is doubled, leaving 0
@@ -316,7 +320,7 @@ def one_radius_optimal(n: int) -> RadiusSequence:
     if n < 1:
         raise OutOfRange("n must be >= 1")
     even = n % 2 == 0
-    length = math.comb(n, 2) + (n // 2 if even else 1)
+    length = one_radius_length(n)
     trail = _symbol_table(n, length)
     pos = 0
     for a in range(0, n - 2, 2):

@@ -30,25 +30,42 @@ def run_cli(capsys, *argv):
 
 @pytest.fixture(autouse=True)
 def certificate_checked_by_verify(monkeypatch):
-    """Every sequence that covers.splice_pieces certifies in these tests,
-    which is every construct output of the cover strategies, must also pass
-    the pair verifier, and its pieces must spell it out: the two checks are
-    compared on every test input, and so is what construct writes from."""
-    pieces_of, verify = cv.splice_pieces, sq.verify
+    """Every triple list that covers.check_pieces certifies in these tests,
+    which is every construct output of the cover strategies, must spell
+    out sequence_from_cover(plan), and the pair verifier must accept what
+    it spells out: the two checks are compared on every test input, and so
+    is what construct writes from. They run at teardown, outside any
+    tracemalloc window of the test."""
+    check, accepted = cv.check_pieces, []
 
-    def compared(plan, seq):
-        failed, pieces = pieces_of(plan, seq)
+    def compared(plan, pieces):
+        failed = check(plan, pieces)
         if failed is None:
-            assert verify(seq)[0], (plan.p, plan.k)
-            table, at = array("I", range(plan.p)) * cv._copies(plan), 0
-            for i in range(0, len(pieces), 3):
-                run = table[slice(*pieces[i:i + 3])]
-                assert seq.symbols[at:at + len(run)] == run
-                at += len(run)
-            assert at == len(seq)
-        return failed, pieces
+            accepted.append((plan, cv._copies(plan), array("q", pieces)))
+        return failed
 
-    monkeypatch.setattr(cv, "splice_pieces", compared)
+    monkeypatch.setattr(cv, "check_pieces", compared)
+    yield
+    for plan, copies, pieces in accepted:
+        table, symbols = array("I", range(plan.p)) * copies, array("I")
+        for i in range(0, len(pieces), 3):
+            symbols += table[slice(*pieces[i:i + 3])]
+        assert symbols == cv.sequence_from_cover(plan).symbols
+        assert sq.verify(sq.RadiusSequence(plan.p, plan.k, symbols))[0], (plan.p, plan.k)
+
+
+def damage_middle_piece(monkeypatch):
+    """Make construct's walk start its middle piece one residue on: the
+    certificate must reject the triples it walks."""
+    walk = cv.plan_pieces
+
+    def damaged(plan, *args, **kwargs):
+        pieces = list(walk(plan, *args, **kwargs))
+        s, stop, d = pieces[len(pieces) // 2]
+        pieces[len(pieces) // 2] = (s + 1, stop + 1, d)
+        return pieces
+
+    monkeypatch.setattr(cv, "plan_pieces", damaged)
 
 
 SHRINK_CASES = [
@@ -110,10 +127,47 @@ class TestConstruct:
     def test_impossible_construction_is_one_line(self, capsys, strategy, k, length):
         # the one exact-length allocation fails at once, so nothing is held
         code, out, err = run_cli(capsys, "construct", "--n", "1000000000", "--k", k,
-                                 "--strategy", strategy)
+                                 "--strategy", strategy, "--max-length", str(length))
         assert (code, out) == (1, "")
         assert err == (f"error: n=1000000000 needs a sequence of {length} symbols "
                        f"({4 * length} bytes), more than can be allocated\n")
+
+    @pytest.mark.parametrize("argv,length", [
+        (("--n", "7000", "--k", "6", "--strategy", "prime"), 4661287),
+        (("--n", "7000", "--k", "6", "--strategy", "prime", "--shrink"), 4661287),
+        (("--n", "7000", "--k", "6", "--strategy", "naive"), 48993000),
+        (("--n", "7000", "--k", "1", "--strategy", "eulerian"), 24500000),
+    ], ids=["prime", "prime-shrink", "naive", "eulerian"])
+    def test_longer_than_max_length_exits_two(self, capsys, argv, length):
+        # the length is known before any symbol exists, so nothing is held
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = run_cli(capsys, "construct", *argv, "--max-length", "4000000")
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err == (f"error: the sequence would have {length} symbols, "
+                       "more than --max-length 4000000\n")
+        assert seconds < 1
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("argv,code", [
+        (("--n", "50", "--k", "9", "--strategy", "prime"), 2),
+        (("--n", "5000", "--k", "1", "--strategy", "eulerian"), 2),
+        (("--n", "7", "--k", "3", "--strategy", "prime", "--max-length", "10"), 0),
+        (("--n", "7", "--k", "3", "--strategy", "prime", "--max-length", "9"), 2),
+    ], ids=["prime-default", "eulerian-default", "prime-at-the-length", "prime-past-it"])
+    def test_max_length_default_and_bound(self, capsys, monkeypatch, argv, code):
+        # the default passes every pinned and CI case, up to 6,438,001
+        # symbols, and refuses the 40,892,446 of (50, 9) prime; a length
+        # equal to the bound passes (p = 7, k = 3 splices 10 symbols).
+        # Nothing is written here
+        monkeypatch.setattr(cli, "_write", lambda path, pieces: None)
+        assert cli.DEFAULT_MAX_LENGTH >= 6_438_001
+        assert run_cli(capsys, "construct", *argv)[0] == code
 
     def test_shrink_to_requested_alphabet(self, capsys):
         code, out, _ = run_cli(capsys, "construct", "--n", "6", "--k", "2",
@@ -144,24 +198,24 @@ class TestConstruct:
     )
     def test_verifies_once(self, capsys, monkeypatch, argv):
         calls = []
-        verify, check = sq.verify, cv.splice_pieces
+        verify, check = sq.verify, cv.check_pieces
 
         def counted_verify(seq):
             calls.append(("verify", seq.n))
             return verify(seq)
 
-        def counted_check(plan, seq):
-            calls.append(("splice_pieces", seq.n))
-            return check(plan, seq)
+        def counted_check(plan, pieces):
+            calls.append(("check_pieces", plan.p))
+            return check(plan, pieces)
 
         monkeypatch.setattr(sq, "verify", counted_verify)
-        monkeypatch.setattr(cv, "splice_pieces", counted_check)
+        monkeypatch.setattr(cv, "check_pieces", counted_check)
         code, out, _ = run_cli(capsys, "construct", *argv)
         assert code == 0
-        # the p-ary splice is checked by its certificate, and a shrunk
-        # sequence, cut from a certified splice, is not checked again
+        # the p-ary splice's triples are checked by the certificate, and a
+        # shrunk sequence, cut from a certified splice, is not checked again
         p = int(re.search(r" p=(\d+)", out)[1])
-        assert calls == [("splice_pieces", p)]
+        assert calls == [("check_pieces", p)]
         if "--shrink" in argv:
             assert sq.parse_sequence(out).n == int(argv[1]) < p
 
@@ -176,8 +230,7 @@ class TestConstruct:
         ids=[*SHRINK_IDS, "prime", "tiling", "two-radius-json"],
     )
     def test_checks_the_cover_once(self, capsys, monkeypatch, argv):
-        # sequence_from_cover and the certificate share the plan's one
-        # verify_cover verdict
+        # the certificate reads the plan's one verify_cover verdict
         plans = []
         verify_cover = cv.verify_cover
 
@@ -197,8 +250,8 @@ class TestConstruct:
     )
     def test_failed_certificate_is_reported(self, capsys, monkeypatch, argv):
         dropped = []
-        monkeypatch.setattr(cv, "splice_pieces", lambda plan, seq: (0, array("q")))
-        monkeypatch.setattr(cv, "shrink_labels", lambda plan, seq, x: dropped.append(x))
+        damage_middle_piece(monkeypatch)
+        monkeypatch.setattr(cv, "shrink_labels", lambda plan, pieces, x: dropped.append(x))
         # the prime strategy picks p = 13 > 11 at k = 2, so --shrink would drop
         code, out, err = run_cli(capsys, "construct", "--n", "11", "--k", "2",
                                  "--strategy", *argv)
@@ -341,6 +394,22 @@ class TestStreamedOutput:
         assert "".join(pieces) == whole
         assert max(p.count(",") for p in pieces) <= 5
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_cover_strategy_holds_no_symbol_array(self, tmp_path, fmt):
+        # p = 2029 at k = 2: 1,029,211 symbols, 4 bytes each in an array;
+        # the splice is written from its certified triples and a name table
+        length = 1_029_211
+        with open(tmp_path / "out", "w", encoding="ascii") as out, redirect_stdout(out):
+            tracemalloc.start()
+            try:
+                code = cli.main(construct_argv("2000", "2", "prime", fmt))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # the autouse fixture compares the certified triples with the splice
+        assert code == 0
+        assert peak <= 2 * length
+
     @pytest.mark.parametrize(
         "case,limit",
         [(("1400", "3", "prime", "json"), 6 << 20),
@@ -375,7 +444,7 @@ class TestPieceWriter:
            st.integers(1, 3), st.integers(1, 7))
     @settings(max_examples=80, deadline=None)
     def test_prints_what_the_generic_writer_prints(self, case, shrink, fmt, copies, chunk):
-        # construct writes a certified splice from its checked pieces; the
+        # construct writes a certified splice from its certified triples; the
         # generic writer, fed sequence_from_cover(plan) (and _drop_frequent
         # of it when shrinking), must print the same bytes
         n, k, strategy = case
@@ -413,14 +482,7 @@ class TestPieceWriter:
     )
     def test_damaged_splice_writes_nothing(self, capsys, monkeypatch, tmp_path, argv, fmt,
                                            to_file):
-        splice = cv.sequence_from_cover
-
-        def damaged(plan):
-            seq = splice(plan)
-            seq.symbols[len(seq) // 2] = (seq.symbols[len(seq) // 2] + 1) % plan.p
-            return seq
-
-        monkeypatch.setattr(cv, "sequence_from_cover", damaged)
+        damage_middle_piece(monkeypatch)
         n, k, strategy, *extra = argv
         out_file, cover_file = tmp_path / "out", tmp_path / "cover"
         files = ["--output", str(out_file)] * to_file + ["--cover-out", str(cover_file)]

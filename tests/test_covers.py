@@ -1,5 +1,6 @@
 import hashlib
 import math
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +10,7 @@ from radiusseq import covers as cv
 from radiusseq import kradius as kr
 from radiusseq import numtheory as nt
 from radiusseq import sequences as sq
+from radiusseq import tilings as tl
 from radiusseq.errors import CoverIncomplete, NotKRadiusPrime
 
 
@@ -327,39 +329,120 @@ class TestCheckSplice:
         assert cv.check_splice(plan, sq.RadiusSequence(5, 2, symbols)) == 0
 
 
+def materialize(plan, pieces, copies=None):
+    """The symbols that a flat list of (start, stop, step) triples spells
+    out over the residue table, `copies` copies of 0..p-1."""
+    table = list(range(plan.p)) * (copies or cv._copies(plan))
+    return [s for i in range(0, len(pieces), 3) for s in table[slice(*pieces[i:i + 3])]]
+
+
+@st.composite
+def cover_plans(draw):
+    """A covering plan of every cover strategy: prime, two-radius or a
+    superset of a cover (shuffled_covers), or a tiling plan."""
+    if draw(st.booleans()):
+        return draw(shuffled_covers())
+    return tl.tiling_plan(draw(st.integers(2, 60)), draw(st.integers(1, 4)))[0]
+
+
+PIECE_DAMAGE = ["none", "step", "start", "stop", "junction", "length", "trailing"]
+
+
+@st.composite
+def damaged_pieces(draw):
+    """(plan, triples laid end to end, damage): the walk of a covering
+    plan from a random start, in pieces of at most 1 to 7 terms, then one
+    damage. "start" moves a piece other than the first to another residue,
+    "stop" changes its number of terms, "junction" starts a later segment
+    at the junction itself rather than one step past it, and "length"
+    walks the same multipliers at radius k-1 or k+1."""
+    plan = draw(cover_plans())
+    p, k, mult = plan.p, plan.k, plan.multipliers
+    start, chunk = draw(st.integers(0, p - 1)), draw(st.integers(1, 7))
+    pieces = list(cv.plan_pieces(plan, start, chunk))
+    damage = draw(st.sampled_from(PIECE_DAMAGE))
+    if damage == "length":
+        radius = draw(st.sampled_from([r for r in (k - 1, k + 1) if 1 <= r <= (p - 1) // 2]))
+        pieces = list(cv.plan_pieces(cv.CoverPlan(p, radius, mult), start, chunk))
+    elif damage == "trailing":
+        s, stop, d = pieces[-1]
+        at = (s + len(range(s, stop, d)) * d) % p
+        pieces.append((at, at + d, d))
+    elif damage != "none":
+        # the first piece of each later segment: one past a junction
+        at, firsts = 0, []
+        for i, (s, stop, d) in enumerate(pieces):
+            if at > 1 and (at - 1) % (p + k - 1) == 0:
+                firsts.append(i)
+            at += len(range(s, stop, d))
+        if damage == "junction" and not firsts:
+            damage = "start"
+        i = draw(st.sampled_from(firsts if damage == "junction" else range(1, len(pieces))))
+        s, stop, d = pieces[i]
+        m = len(range(s, stop, d))
+        if damage == "step":
+            pieces[i] = (s, stop, draw(st.integers(1, 2 * p).filter(lambda e: e != d)))
+        elif damage == "start":
+            shift = draw(st.integers(1, p - 1))
+            pieces[i] = (s + shift, stop + shift, d)
+        elif damage == "stop":
+            pieces[i] = (s, s + draw(st.integers(0, m + 2).filter(lambda e: e != m)) * d, d)
+        else:
+            s = (s - d) % p
+            pieces[i] = (s, s + m * d, d)
+    return plan, [x for piece in pieces for x in piece], damage, start
+
+
 class TestSplicePieces:
-    @given(damaged_splices(), st.integers(1, 3), st.integers(1, 7))
+    @given(st.data(), st.integers(1, 3), st.integers(1, 7))
     @settings(max_examples=200, deadline=None)
-    def test_pieces_spell_out_the_certified_splice(self, case, copies, chunk):
-        plan, seq, damage, at = case
+    def test_pieces_spell_out_the_certified_splice(self, data, copies, chunk):
+        # the walk of a random multiplier list, covering or not, from a
+        # random start: its pieces spell out the splice, and the
+        # certificate accepts them exactly when the list covers
+        p, k, mult = random_multipliers(data.draw, 61, data.draw(st.booleans()))
+        plan = cv.CoverPlan(p, k, tuple(mult))
+        start = data.draw(st.integers(0, p - 1))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cv, "_TABLE_REPEATS", copies)
-            mp.setattr(sq, "_WRITE_CHUNK", chunk)
-            failed, pieces = cv.splice_pieces(plan, seq)
-        # the verdict names the segment that the damage reaches first
-        if not cv.verify_cover(plan)[0]:
-            assert failed == -1
-        elif damage == "none":
-            assert failed is None
-        elif damage in ("change", "swap"):
-            assert failed == max(0, (at - 1) // (plan.p + plan.k - 1))
-        else:
-            assert failed == -1
-        if failed is not None:
-            assert len(pieces) == 0
-            return
-        table = list(range(plan.p)) * cv._copies(plan)
-        runs = [table[slice(*pieces[i:i + 3])] for i in range(0, len(pieces), 3)]
-        assert [s for run in runs for s in run] == seq.symbols.tolist()
+            pieces = list(cv.plan_pieces(plan, start, chunk))
+            flat = array("q", [x for piece in pieces for x in piece])
+            failed = cv.check_pieces(plan, flat)
+        assert failed == (None if cv.verify_cover(plan)[0] else -1)
+        runs = [materialize(plan, piece, min(copies, len(mult))) for piece in pieces]
+        assert [s for run in runs for s in run] == splice(p, k, mult, start)
         assert all(1 <= len(run) <= chunk for run in runs)
         # each piece lies in one segment, a junction written as the last
         # symbol of the segment before it: position q is in segment
         # max(0, (q - 1) // (p + k - 1))
-        segment = lambda q: max(0, (q - 1) // (plan.p + plan.k - 1))
+        segment = lambda q: max(0, (q - 1) // (p + k - 1))
         at = 0
         for run in runs:
             assert segment(at) == segment(at + len(run) - 1)
             at += len(run)
+
+    @given(damaged_pieces())
+    @settings(max_examples=200, deadline=None)
+    def test_damaged_triples_are_rejected(self, case):
+        plan, pieces, damage, start = case
+        failed = cv.check_pieces(plan, array("q", pieces))
+        if failed is None:
+            # whatever the certificate accepts spells out a k-radius sequence
+            assert sq.verify(sq.RadiusSequence(plan.p, plan.k, materialize(plan, pieces)))[0]
+        if damage == "none":
+            assert failed is None
+            assert materialize(plan, pieces) == splice(plan.p, plan.k, plan.multipliers, start)
+        else:
+            assert failed is not None
+        if damage == "trailing":
+            assert failed == -1
+
+    @pytest.mark.parametrize("cut", [1, 2])
+    def test_partial_triple_is_rejected(self, cut):
+        plan = cv.CoverPlan(7, 2, (1, 4))
+        pieces = array("q", [x for piece in cv.plan_pieces(plan) for x in piece])
+        assert cv.check_pieces(plan, pieces) is None
+        assert cv.check_pieces(plan, pieces[:-cut]) == -1
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
@@ -368,18 +451,19 @@ class TestSplicePieces:
         # labels, print what symbol_runs prints for the same sequence
         p, k, mult = random_multipliers(data.draw, 31, True)
         plan = cv.CoverPlan(p, k, tuple(mult))
-        seq = sq.RadiusSequence(p, k, splice(p, k, mult, data.draw(st.integers(0, p - 1))))
+        start = data.draw(st.integers(0, p - 1))
+        seq = sq.RadiusSequence(p, k, splice(p, k, mult, start))
         x = data.draw(st.integers(0, p - 1))
         sep = data.draw(st.sampled_from([" ", ", "]))
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cv, "_TABLE_REPEATS", data.draw(st.integers(1, 3)))
-            mp.setattr(sq, "_WRITE_CHUNK", data.draw(st.integers(1, 7)))
-            failed, pieces = cv.splice_pieces(plan, seq)
-            assert failed is None
+            pieces = array("q", [x for piece in cv.plan_pieces(
+                plan, start, data.draw(st.integers(1, 7))) for x in piece])
+            assert cv.check_pieces(plan, pieces) is None
             labels, length = range(p), len(seq)
             want = seq
             if x:
-                labels, length = cv.shrink_labels(plan, seq, x)
+                labels, length = cv.shrink_labels(plan, pieces, x)
                 want = sq._drop_frequent(seq, x)
             runs = list(cv.splice_runs(plan, pieces, labels, sep))
         assert length == len(want)
@@ -392,10 +476,13 @@ class TestSplicePieces:
     def test_shrink_labels_count_what_drop_frequent_counts(self, data):
         p, k, mult = random_multipliers(data.draw, 31, True)
         plan = cv.CoverPlan(p, k, tuple(mult))
-        seq = sq.RadiusSequence(p, k, splice(p, k, mult, data.draw(st.integers(0, p - 1))))
+        start = data.draw(st.integers(0, p - 1))
+        seq = sq.RadiusSequence(p, k, splice(p, k, mult, start))
+        pieces = [x for piece in cv.plan_pieces(plan, start, data.draw(st.integers(1, 7)))
+                  for x in piece]
         x = data.draw(st.integers(1, p - 1))
         freq = list(map(seq.symbols.count, range(p)))
-        labels, length = cv.shrink_labels(plan, seq, x)
+        labels, length = cv.shrink_labels(plan, pieces, x)
         assert labels == sq._relabelling(freq, x)
         assert length == len(sq._drop_frequent(seq, x))
 
