@@ -16,7 +16,9 @@ deletes the p-n most frequent symbols of the certified splice and
 relabels the rest; deletion never moves two remaining occurrences further
 apart and the relabelling is injective, so the shrunk sequence is k-radius
 too and is not checked again. naive and eulerian go through
-sequences.verify, which marks every pair within distance k in an n*n table.
+sequences.verify. It marks each run of at least n + k terms s, s+d, ...
+mod n, gcd(d, n) = 1, as the k diagonals of offsets +-j*d, and every other
+pair within distance k one cell at a time in an n*n table.
 
 covers.splice_runs writes each certified triple as names[start:stop:step]
 over the names of the residue table, relabelled by covers.shrink_labels

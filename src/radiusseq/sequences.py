@@ -24,9 +24,13 @@ from .errors import AlphabetViolation, NotVerified, OutOfRange, RadiusSeqError
 # symbols per scatter block of verify up to reach 7, fewer beyond: a few
 # small lists, never O(length)
 _VERIFY_BLOCK = 4096
-# length * reach from which verify marks the later positions in a forked
-# child; the child's start paid for itself from about 120,000 cells
+# pairs marked cell by cell from which verify marks the later positions in
+# a forked child; the child's start paid for itself from about 120,000 cells
 _SPLIT_CELLS = 200_000
+# copies of 0..n-1 in the residue table that progression runs are compared
+# with, and the terms of the first compare at each sample of a sequence
+_RUN_REPEATS = 64
+_RUN_PROBE = 8
 # the byte 0 or 1 of a marks cell as the digit "0" or "1", and a digit
 # of a folded row back as 1 for a clear bit (a missing pair), 0 for a set one
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -156,39 +160,52 @@ def pool_map(fn, tasks: list, workers: int) -> list:
             for r in (map(fn, share) if part is None else part)]
 
 
-def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[int]:
-    """The pairs that positions lo..hi-1 meet within `reach` symbols after
-    them, as n-1 ints: row x holds a bit for each y > x, the most
-    significant for y = x+1, set when x and y occur at most reach apart.
-
-    Each block of positions checks the alphabet of the symbols it reads
-    before marking them. Blocks run in order and each reads `reach`
-    symbols past its end, so the symbol outside the alphabet that this
-    names is the first one from lo on. It is named before a table that
-    cannot be allocated, wherever in the sequence it lies."""
+def _marks_table(symbols: array, n: int) -> bytearray:
+    """A zeroed n*n table. One that cannot be allocated raises
+    RadiusSeqError naming n and its size, unless `symbols` hold a symbol
+    outside the alphabet, which is named first."""
     try:
-        # cell x*n + y marks "x occurs at most reach before y"
-        marks = bytearray(n * n)
+        return bytearray(n * n)
     except (MemoryError, OverflowError):
         _check_alphabet(symbols, n)
         raise RadiusSeqError(
             f"n={n} needs a marks table of {n * n} bytes, more than can be allocated"
         ) from None
+
+
+def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int,
+                 spans: list[tuple[int, int]], marks: bytearray | None) -> list[int]:
+    """The pairs that the positions of `spans` in lo..hi-1 meet within
+    `reach` symbols after them, as n-1 ints: row x holds a bit for each
+    y > x, the most significant for y = x+1, set when x and y occur at
+    most reach apart. `marks` is a zeroed n*n table, or None for one of
+    its own.
+
+    Each block of positions checks the alphabet of the symbols it reads
+    before marking them. Blocks run in order and each reads `reach`
+    symbols past its end, so the symbol outside the alphabet that this
+    names is the first one from lo on: pair_rows leaves out of `spans`
+    only terms of progression runs, all inside the alphabet."""
+    # cell x*n + y marks "x occurs at most reach before y"
+    if marks is None:
+        marks = _marks_table(symbols, n)
     # blocks shrink as the reach grows, so one gathers fewer than
     # 8 * _VERIFY_BLOCK cells until it is down to a single symbol
     step = max(1, _VERIFY_BLOCK // max(1, reach // 4))
-    for start in range(lo, hi, step):
-        end = min(start + step, hi)
-        block = symbols[start:end + reach].tolist()
-        _check_alphabet(block, n)
-        scaled = list(map(mul, block[:end - start], repeat(n)))
-        cells = []
-        # each offset slices only the symbols it pairs, and offsets past
-        # the end of the sequence are skipped, so the work follows the cells
-        for d in range(1, min(reach + 1, len(block))):
-            cells += map(add, scaled, block[d:d + end - start])
-        for i in cells:
-            marks[i] = 1
+    for first, stop in spans:
+        first, stop = max(first, lo), min(stop, hi)
+        for start in range(first, stop, step):
+            end = min(start + step, stop)
+            block = symbols[start:end + reach].tolist()
+            _check_alphabet(block, n)
+            scaled = list(map(mul, block[:end - start], repeat(n)))
+            cells = []
+            # each offset slices only the symbols it pairs, and offsets past
+            # the end of the sequence are skipped, so the work follows the cells
+            for d in range(1, min(reach + 1, len(block))):
+                cells += map(add, scaled, block[d:d + end - start])
+            for i in cells:
+                marks[i] = 1
     # fold column x (y before x) into row x (x before y), right of the diagonal
     return [
         int(marks[x * n + x + 1:(x + 1) * n].translate(_DIGITS), 2)
@@ -197,10 +214,61 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int) -> list[i
     ]
 
 
+def _run_end(view: memoryview, table: memoryview, n: int, at: int, s: int, d: int) -> int:
+    """The first index from `at` on at which `view` leaves the step-d
+    progression mod n that holds residue s there, or len(view). Slices
+    of the view are compared in C with strided slices of `table`, copies
+    of 0..n-1, and the first that differs is bisected."""
+    last = len(table) - 1
+    while at < len(view):
+        m = min(len(view) - at, (last - s) // d + 1)
+        if view[at:at + m] != table[s:s + m * d:d]:
+            # the first lo terms agree, and one of the terms lo..hi-1 differs
+            lo, hi = 0, m
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if view[at + lo:at + mid] == table[s + lo * d:s + mid * d:d]:
+                    lo = mid
+                else:
+                    hi = mid
+            return at + lo
+        at, s = at + m, (s + m * d) % n
+    return at
+
+
+def _long_runs(symbols: array, n: int, reach: int) -> list[tuple[int, int, int]]:
+    """The maximal runs symbols[a:b] of at least n + reach terms that
+    step by d mod n, gcd(d, n) = 1, as (a, b, d) in order; two of them
+    share at most one position. Each holds a sample q, a multiple of
+    h = (n + reach) // 2, with q..q+h inside it, and steps by
+    symbols[q+1] - symbols[q]. One compare of _RUN_PROBE terms rules out
+    almost every sample of a word without such runs, and only a sample
+    that passes it is followed both ways by _run_end. Needs n >= 2."""
+    length, h = len(symbols), (n + reach) // 2
+    probe = min(_RUN_PROBE, h + 1)
+    runs = []
+    end = 0  # the end of the last run followed
+    with (memoryview(array("I", range(n)) * _RUN_REPEATS) as table,
+          memoryview(symbols) as ahead, ahead[::-1] as back):
+        for q in range(0, length - h, h):
+            s, t = symbols[q], symbols[q + 1]
+            d = (t - s) % n
+            if (q + 1 < end or max(s, t) >= n or math.gcd(d, n) != 1
+                    or ahead[q:q + probe] != table[s:s + probe * d:d]):
+                continue
+            end = _run_end(ahead, table, n, q + probe, (s + probe * d) % n, d)
+            # back holds position i at index length-1-i, stepping by n-d
+            start = length - _run_end(back, table, n, length - q, (s - d) % n, n - d)
+            if end - start >= n + reach:
+                runs.append((start, end, d))
+    return runs
+
+
 def _balanced_cut(length: int, reach: int) -> int:
     """The cut that splits the cells min(reach, length-1-i) of the
     positions i most evenly between i < cut and i >= cut: the two halves
-    differ by at most reach cells. Needs 1 <= reach < length."""
+    differ by at most reach cells. Needs 1 <= reach <= length; pair_rows
+    passes reach = length when runs leave only the last reach positions."""
     full = (length - reach) * reach  # positions with a whole reach
     total = full + reach * (reach - 1) // 2
     if 2 * full >= total:
@@ -220,23 +288,55 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
     for y = x+1, set when x and y occur at most k apart. A symbol outside
     the alphabet raises AlphabetViolation naming the first one.
 
-    A sequence of length L with L * min(k, L-1) at least _SPLIT_CELLS is
-    cut at c, when pool_size(2, 2) is 2, into two spans that pool_map
-    marks, [c, L) in a forked child's own n*n table, and their folded rows
-    are ORed. The cut balances the pairs min(k, L-1-i) that the two look
-    at to within k. An n*n table that cannot be allocated raises
-    RadiusSeqError.
+    With reach = min(k, L-1), a run of R >= n + reach terms s, s+d,
+    s+2d, ... mod n with gcd(d, n) = 1 is marked as diagonals, with no
+    work per cell: its first R - reach positions, at least n of them,
+    hold every residue a and pair it with a + j*d for each j <= reach, so
+    every pair at an offset +-j*d mod n occurs. The other positions are
+    marked one cell at a time in an n*n table, which is folded into rows.
+
+    When those positions look at _SPLIT_CELLS pairs or more and
+    pool_size(2, 2) is 2, the sequence is cut at c into two spans that
+    pool_map marks, [c, L) in a forked child's own table, and their
+    folded rows are ORed. The cut balances the pairs that the positions
+    marked cell by cell look at to within k. An n*n table that cannot be
+    allocated raises RadiusSeqError.
     """
     n, symbols = seq.n, seq.symbols
     length = len(symbols)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
     reach = min(seq.k, length - 1)
-    spans = [(0, length)]
-    if length * reach >= _SPLIT_CELLS and pool_size(2, 2) == 2:
-        cut = _balanced_cut(length, reach)
-        spans = [(0, cut), (cut, length)]
-    halves = pool_map(lambda span: _marked_rows(symbols, n, reach, *span), spans, 2)
-    return [reduce(or_, row) for row in zip(*halves)]
+    # the table comes before the residue table of the run search, so a
+    # table that cannot be allocated is still the error. The first marking,
+    # here or in the child forked before it, takes it; a share marked here
+    # again after its child failed makes its own
+    tables = [_marks_table(symbols, n)]
+    runs = _long_runs(symbols, n, reach) if n > 1 and length >= n + reach else []
+    # the positions marked cell by cell: all but the first R - reach of each run
+    spans = list(zip([0] + [b - reach for _, b, _ in runs], [a for a, _, _ in runs] + [length]))
+    positions = sum(b - a for a, b in spans)
+    bounds = [(0, length)]
+    if positions * reach >= _SPLIT_CELLS and pool_size(2, 2) == 2:
+        # the last reach positions of the sequence are among them, so the
+        # i-th of them looks at min(reach, positions-1-i) pairs
+        rank = _balanced_cut(positions, reach)
+        for a, b in spans:
+            if rank <= b - a:
+                break
+            rank -= b - a
+        bounds = [(0, a + rank), (a + rank, length)]
+    halves = pool_map(lambda bound: _marked_rows(symbols, n, reach, *bound, spans,
+                                                 tables.pop() if tables else None), bounds, 2)
+    rows = [reduce(or_, row) for row in zip(*halves)]
+    if runs:
+        # offsets[c] is 1 when each a meets a + c (or a - c) in a run
+        offsets = bytearray(n)
+        for d in {d for _, _, d in runs}:
+            for j in range(1, min(reach, n) + 1):
+                offsets[j * d % n] = offsets[-(j * d % n)] = 1
+        diagonals = int(offsets[1:].translate(_DIGITS), 2)
+        rows = [row | diagonals >> x for x, row in enumerate(rows)]
+    return rows
 
 
 def missing_rows(rows: list[int]):
@@ -251,7 +351,9 @@ def missing_rows(rows: list[int]):
 
 
 def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
-    """Check the k-radius property by ordered-pair marking plus fold.
+    """Check the k-radius property through pair_rows: long progression
+    runs as diagonals, every other position by ordered-pair marking, then
+    the fold.
 
     Returns (ok, missing) where missing lists every unordered pair of
     distinct alphabet symbols that never co-occurs within distance k, in

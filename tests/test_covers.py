@@ -678,6 +678,16 @@ class TestCoverFormat:
         assert text.splitlines()[0] == "p=13 k=2"
         assert cv.parse_cover(text) == plan
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_plan_round_trips(self, data):
+        # a plan need not cover Z_p* to be written and read back
+        p = data.draw(st.sampled_from(SMALL_PRIMES))
+        k = data.draw(st.integers(1, (p - 1) // 2))
+        mult = data.draw(st.lists(st.integers(1, p - 1), max_size=30, unique=True))
+        plan = cv.CoverPlan(p, k, tuple(mult))
+        assert cv.parse_cover(cv.format_cover(plan)) == plan
+
     def test_missing_header(self):
         with pytest.raises(ValueError):
             cv.parse_cover("1\n2\n")

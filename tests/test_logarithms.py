@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radiusseq import kradius as kr
 from radiusseq import logarithms as lg
@@ -551,6 +553,20 @@ class TestLogFnFormat:
         assert text.splitlines()[0] == "k=12"
         back = lg.parse_logfn(text)
         assert back.full_vector == f.full_vector
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_any_function_round_trips(self, data):
+        # eval_vector takes any value in Z_k at each prime, a logarithm or not
+        k = data.draw(st.integers(1, 60))
+        values = {q: data.draw(st.integers(0, k - 1)) for q in nt.primes(k)}
+        f = lg.eval_vector(k, values)
+        assert lg.parse_logfn(lg.format_logfn(f)) == f
+
+    @pytest.mark.parametrize("k", [1, 2, 12, 42])
+    def test_searched_logarithm_round_trips(self, k):
+        f = lg.search(k)
+        assert lg.parse_logfn(lg.format_logfn(f)) == f
 
     def test_missing_header(self):
         with pytest.raises(ValueError):

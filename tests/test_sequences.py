@@ -23,6 +23,7 @@ from radiusseq import tilings as tl
 from radiusseq.errors import AlphabetViolation, NotVerified, OutOfRange, RadiusSeqError
 
 from reference_counts import KNOWN_LOG
+from test_covers import damaged_splices
 
 
 def brute_force_verify(seq):
@@ -55,6 +56,16 @@ def straddle(gap, half=60, cut=None):
     before position cut (half by default) and its 2 `gap` symbols later."""
     cut = half if cut is None else cut
     return (1,) * (cut - 1) + (0,) + (1,) * (gap - 1) + (2,) + (1,) * (2 * half - cut - gap)
+
+
+def straddle_without_run(gap, **kwargs):
+    """straddle with the symbol after its 2 made a 2 too. For gap 1,
+    straddle holds 1 0 2 1, a step-2 progression of n + k = 4 terms that
+    verify marks as diagonals, which moves the cut and the split size;
+    this word holds no such run."""
+    word = list(straddle(gap, **kwargs))
+    word[word.index(2) + 1] = 2
+    return word
 
 
 @st.composite
@@ -188,7 +199,7 @@ def test_balanced_cut_evens_the_cells():
     # the cells of position i are min(reach, length-1-i); no cut splits
     # them more evenly, and the two halves differ by at most reach
     for length in [*range(2, 60), 120, 997, 3000]:
-        for reach in {1, 2, 3, length // 3, length // 2, 2 * length // 3, length - 1} - {0}:
+        for reach in {1, 2, 3, length // 3, length // 2, 2 * length // 3, length - 1, length} - {0}:
             before = list(accumulate((min(reach, length - 1 - i) for i in range(length)), initial=0))
             total = before[-1]
             gap = abs(total - 2 * before[sq._balanced_cut(length, reach)])
@@ -211,8 +222,10 @@ class TestSplitVerify:
     def test_pair_straddling_the_half_is_found(self, monkeypatch, children, gap):
         monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
         cut = sq._balanced_cut(120, gap)
-        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap, cut=cut))) == (True, [])
-        assert sq.verify(sq.RadiusSequence(3, gap, straddle(gap + 1, cut=cut))) == (False, [(0, 2)])
+        word = straddle_without_run(gap, cut=cut)
+        assert sq.verify(sq.RadiusSequence(3, gap, word)) == (True, [])
+        word = straddle_without_run(gap + 1, cut=cut)
+        assert sq.verify(sq.RadiusSequence(3, gap, word)) == (False, [(0, 2)])
         assert [c.exitcode for c in children] == [0, 0]
         assert [c.share for c in children] == [[(cut, 120)]] * 2
 
@@ -265,7 +278,7 @@ class TestSplitVerify:
         assert capfd.readouterr() == ("", "")
 
     def test_short_sequence_starts_no_process(self, monkeypatch, no_process):
-        seq = sq.RadiusSequence(3, 1, straddle(1, half=1000))
+        seq = sq.RadiusSequence(3, 1, straddle_without_run(1, half=1000))
         assert len(seq) * seq.k < sq._SPLIT_CELLS
         assert sq.verify(seq) == (True, [])
         if sq.usable_cpus() >= 2:
@@ -468,6 +481,100 @@ class TestBlockAlphabet:
         seq = sq.RadiusSequence(n, 2, [0, 1, 4_000_000_000, 2, 4_100_000_000, 3])
         with pytest.raises(AlphabetViolation, match=f"^symbol 4000000000 outside alphabet of size {n}$"):
             sq.verify(seq)
+
+
+def check_against_pairs(seq):
+    """verify names the first symbol outside the alphabet, or else agrees
+    with brute_force_missing."""
+    bad = next((s for s in seq.symbols if s >= seq.n), None)
+    if bad is not None:
+        with pytest.raises(AlphabetViolation, match=f"^symbol {bad} outside alphabet of size {seq.n}$"):
+            sq.verify(seq)
+    else:
+        missing = brute_force_missing(seq)
+        assert sq.verify(seq) == (not missing, missing)
+
+
+@st.composite
+def progression_words(draw):
+    """Runs s, s+d, s+2d, ... mod n between short random words. The steps
+    are any residue, so a composite n has steps that share a factor with
+    it; a run has n+k-1, n+k, n+k+1 or about n+k terms; and a symbol >= n
+    may replace a term of a run or follow it."""
+    n = draw(st.integers(2, 12))
+    k = draw(st.integers(1, 5))
+    symbols = []
+    for _ in range(draw(st.integers(1, 4))):
+        symbols += draw(st.lists(st.integers(0, n - 1), max_size=4))
+        s, d = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        terms = n + k + draw(st.one_of(st.sampled_from([-1, 0, 1]), st.integers(-n, n)))
+        run = [(s + t * d) % n for t in range(terms)]
+        offender = draw(st.sampled_from([None, None, None, "inside", "after"]))
+        if offender == "inside":
+            run[draw(st.integers(0, terms - 1))] = n + draw(st.integers(0, 3))
+        elif offender == "after":
+            run.append(n + draw(st.integers(0, 3)))
+        symbols += run
+    return sq.RadiusSequence(n, k, symbols)
+
+
+class TestProgressionRuns:
+    """verify marks each long progression run as diagonals, and the rest
+    of the sequence cell by cell."""
+
+    @pytest.mark.parametrize("split", [False, True])
+    @settings(max_examples=300, deadline=None)
+    @given(progression_words())
+    def test_runs_match_pair_enumeration(self, split, seq):
+        with pytest.MonkeyPatch.context() as mp:
+            if split:
+                mp.setattr(sq, "_SPLIT_CELLS", 1)
+            check_against_pairs(seq)
+
+    @pytest.mark.parametrize("split", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(damaged_splices())
+    def test_damaged_splices_match_pair_enumeration(self, split, case):
+        # a changed symbol may be p, outside the alphabet
+        _, seq, _, _ = case
+        with pytest.MonkeyPatch.context() as mp:
+            if split:
+                mp.setattr(sq, "_SPLIT_CELLS", 1)
+            check_against_pairs(seq)
+
+    @pytest.mark.parametrize("n, d", [(7, 3), (12, 5), (12, 1), (2, 1)])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 9])
+    def test_a_run_is_long_from_n_plus_reach_terms(self, n, d, extra):
+        # the run repeats its first and last terms around it, a step of 0
+        k = 3
+        run = [(4 + t * d) % n for t in range(n + k + extra)]
+        symbols = array("I", run[:1] * 2 + run + run[-1:] * 2)
+        expected = [(2, 2 + len(run), d)] if extra >= 0 else []
+        assert sq._long_runs(symbols, n, k) == expected
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_a_step_sharing_a_factor_with_n_is_not_a_run(self, d):
+        n, k = 12, 2
+        symbols = array("I", [(1 + t * d) % n for t in range(4 * n)])
+        assert sq._long_runs(symbols, n, k) == []
+        check_against_pairs(sq.RadiusSequence(n, k, symbols))
+
+    @pytest.mark.parametrize("at", [0, 4, 9, 10])
+    def test_a_symbol_outside_the_alphabet_ends_a_run(self, at):
+        # it replaces a term of a run of n + k = 10 terms, or follows it
+        n, k = 7, 3
+        word = [t * 2 % n for t in range(n + k)]
+        word[at:at + 1] = [n + 1]
+        expected = [(0, n + k, 2)] if at == n + k else []
+        assert sq._long_runs(array("I", word), n, k) == expected
+        check_against_pairs(sq.RadiusSequence(n, k, word))
+
+    def test_splice_starts_no_process(self, no_process):
+        # every position but the last k of each segment is marked as a
+        # diagonal, so far fewer than _SPLIT_CELLS pairs are marked cell by cell
+        seq = cv.sequence_from_cover(cv.two_radius_cover(653))
+        assert len(seq) * seq.k >= sq._SPLIT_CELLS
+        assert sq.verify(seq) == (True, [])
 
 
 class TestLowerBound:
