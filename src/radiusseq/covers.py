@@ -15,12 +15,7 @@ from itertools import chain
 
 from . import kradius, numtheory, sequences
 from .errors import CoverIncomplete, NotKRadiusPrime
-from .sequences import RadiusSequence, content_lines, parse_fields
-
-# copies of 0..p-1 in plan_pieces' residue table: on the tiling
-# covers at p = 1,319 to 7,079, 16 spliced 2-4x slower, and 256 was no
-# faster from p = 3,359 on with a table 4x the size
-_TABLE_REPEATS = 64
+from .sequences import _TABLE_REPEATS, RadiusSequence, content_lines, parse_fields, residue_table
 
 
 @dataclass(frozen=True)
@@ -175,7 +170,7 @@ def sequence_from_cover(plan: CoverPlan) -> RadiusSequence:
     each copied in C from its strided slice of the residue table."""
     if not plan.covers:
         raise CoverIncomplete(f"plan for p={plan.p}, k={plan.k} does not cover Z_p*")
-    table = array("I", range(plan.p)) * _copies(plan)
+    table = residue_table(plan.p, _copies(plan))
     symbols = array("I")
     for s, stop, d in plan_pieces(plan):
         symbols += table[s:stop:d]
@@ -202,7 +197,7 @@ def check_splice(plan: CoverPlan, seq: RadiusSequence) -> int | None:
     failed = check_pieces(plan, pieces)
     if failed is not None:
         return failed
-    table = array("I", range(p)) * _copies(plan)
+    table = residue_table(p, _copies(plan))
     at = 0
     for s, stop, d in zip(*[iter(pieces)] * 3):
         run = table[s:stop:d]

@@ -27,10 +27,19 @@ _VERIFY_BLOCK = 4096
 # pairs marked cell by cell from which verify marks the later positions in
 # a forked child; the child's start paid for itself from about 120,000 cells
 _SPLIT_CELLS = 200_000
-# copies of 0..n-1 in the residue table that progression runs are compared
-# with, and the terms of the first compare at each sample of a sequence
-_RUN_REPEATS = 64
+# copies of 0..n-1 in the residue table that splices are cut from and that
+# progression runs and parsed stretches are compared with: on the tiling
+# covers at p = 1,319 to 7,079, 16 spliced 2-4x slower, and 256 was no
+# faster from p = 3,359 on with a table 4x the size
+_TABLE_REPEATS = 64
+# the terms of the first compare at each sample of a sequence, and at each
+# token where the parse tries a progression stretch
 _RUN_PROBE = 8
+# characters of text per alphabet symbol from which the parse builds its
+# O(n) tables. They take about 870 bytes and 620 ns per symbol, so from here
+# on they are smaller than the text; on a (2011, 3) prime splice the reader
+# was as fast as the plain parse at 64 characters per symbol, 1.8x at 1,024
+_READ_GATE = 1024
 # the byte 0 or 1 of a marks cell as the digit "0" or "1", and a digit
 # of a folded row back as 1 for a clear bit (a missing pair), 0 for a set one
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -214,6 +223,13 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int,
     ]
 
 
+def residue_table(n: int, copies: int) -> array:
+    """`copies` copies of 0..n-1 in one array("I"): entry x is x mod n, so
+    table[s:s+m*d:d] is the step-d progression of m terms from s mod n
+    wherever s + (m-1)*d lies inside the table."""
+    return array("I", range(n)) * copies
+
+
 def _run_end(view: memoryview, table: memoryview, n: int, at: int, s: int, d: int) -> int:
     """The first index from `at` on at which `view` leaves the step-d
     progression mod n that holds residue s there, or len(view). Slices
@@ -248,7 +264,7 @@ def _long_runs(symbols: array, n: int, reach: int) -> list[tuple[int, int, int]]
     probe = min(_RUN_PROBE, h + 1)
     runs = []
     end = 0  # the end of the last run followed
-    with (memoryview(array("I", range(n)) * _RUN_REPEATS) as table,
+    with (memoryview(residue_table(n, _TABLE_REPEATS)) as table,
           memoryview(symbols) as ahead, ahead[::-1] as back):
         for q in range(0, length - h, h):
             s, t = symbols[q], symbols[q + 1]
@@ -568,36 +584,143 @@ def _windows(line: str):
 
 def _tokens(window: str) -> list[int]:
     """The integers of the whitespace-separated tokens of `window`, as int()
-    reads them. A window of ASCII digits and spaces alone goes through the
-    C JSON scanner, which reads such a window as int() does or not at all;
-    what it refuses (a leading zero, a double space, a number past the
-    interpreter's digit limit) and every other window go through int()."""
+    reads them: the plain reading of a window, or of the part of one that
+    the stretch reader hands over. A window of ASCII digits and spaces
+    alone goes through the C JSON scanner, which reads such a window as
+    int() does or not at all; what it refuses (a leading zero, a double
+    space, a number past the interpreter's digit limit) and every other
+    window go through int()."""
     if window.isascii() and not window.encode().translate(None, _PLAIN):
         with suppress(ValueError):
             return json.loads("[" + window.replace(" ", ",") + "]")
     return list(map(int, window.split()))
 
 
+class _StretchReader:
+    """Reads windows over an alphabet of n >= 2 symbols as chains of
+    progression stretches s, s+d, s+2d, ... mod n. At a token, the
+    residues s, t of it and the next token are looked up among the
+    canonical decimal names below n, d = t - s mod n, and the text is
+    compared in C with the space-joined names of the next _RUN_PROBE
+    terms, then of as many more as the residue table holds at a time,
+    bisected back to the last whole token that agrees. A failed probe
+    hands the text from it to _tokens: the width of _RUN_PROBE names,
+    doubled per failure in a row up to _PARSE_WINDOW. The tables are
+    O(n): the names of 0..n-1 laid out as the residue table, a dict from
+    each name to its residue, and the residue table itself."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.table = residue_table(n, _TABLE_REPEATS)
+        self.names = [str(s) for s in range(n)]
+        self.index = {name: s for s, name in enumerate(self.names)}
+        self.names *= _TABLE_REPEATS
+        # characters that _tokens reads before the next probe, carried from
+        # window to window, and what the next failed probe sets that to: the
+        # width of _RUN_PROBE names, doubled per failure in a row up to a window
+        self.skip = 0
+        self.base = self.gap = _RUN_PROBE * (len(str(n - 1)) + 1)
+
+    def _match(self, window: str, pos: int, s: int, d: int, m: int) -> tuple[int, int]:
+        """(j, after): window[pos:] starts with the whole tokens of the
+        first j of the m terms from s of the step-d progression, and after
+        is the index just past the space that follows the j-th. The text is
+        compared in C with the names of those terms, joined by spaces, and
+        bisected back to the longest prefix that agrees."""
+        names = " ".join(self.names[s:s + m * d:d])
+        agree = len(names)
+        if window.startswith(names, pos):
+            if pos + agree == len(window) or window[pos + agree] == " ":
+                return m, pos + agree + 1
+        else:
+            lo, hi = 0, agree  # names[:lo] agrees, names[:hi] does not
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if window.startswith(names[lo:mid], pos + lo):
+                    lo = mid
+                else:
+                    hi = mid
+            agree = lo
+        # the token in which the agreement stops counts when it ends there in both
+        if names[agree:agree + 1] == " " and (pos + agree == len(window) or window[pos + agree] == " "):
+            return names.count(" ", 0, agree) + 1, pos + agree + 1
+        return names.count(" ", 0, agree), pos + names.rfind(" ", 0, agree) + 1
+
+    def __call__(self, window: str):
+        """Yield the symbols of `window` in order: each stretch as an
+        array("I") slice of the residue table, everything else as the list
+        that _tokens reads."""
+        n, table, index = self.n, self.table, self.index
+        last, end, pos = len(table) - 1, len(window), 0
+        while pos < end:
+            if self.skip:
+                cut = window.find(" ", pos + self.skip)
+                if cut == -1:
+                    self.skip, cut = max(0, self.skip - (end - pos)), end
+                else:
+                    self.skip = 0
+                yield _tokens(window[pos:cut])
+                pos = cut + 1
+                continue
+            first = window.find(" ", pos)
+            second = window.find(" ", first + 1) if first != -1 else -1
+            s = index.get(window[pos:first]) if first != -1 else None
+            t = index.get(window[first + 1:second if second != -1 else end]) if s is not None else None
+            j = 0
+            if t is not None and t != s:
+                d = (t - s) % n
+                j, after = self._match(window, pos, s, d, _RUN_PROBE)
+            if j < _RUN_PROBE:
+                self.skip, self.gap = self.gap, min(2 * self.gap, _PARSE_WINDOW)
+                continue
+            self.gap = self.base
+            # the stretch goes on in pieces inside the table, each of at most
+            # as many terms as the rest of the window could hold, until one
+            # agrees only in part
+            m = j
+            while j:
+                yield table[s:s + j * d:d]
+                pos, s = after, (s + j * d) % n
+                if j < m or pos >= end:
+                    break
+                m = min((last - s) // d + 1, (end - pos + 1) // 2)
+                j, after = self._match(window, pos, s, d, m)
+
+
 def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> RadiusSequence:
     """Parse the text format; explicit n/k arguments override the header.
 
-    Long lines are read in windows of about _PARSE_WINDOW characters, each
-    through the JSON scanner where it can read it (see _tokens). A token
-    that is not an integer raises int()'s ValueError naming it. A symbol
-    that does not fit in 32 bits raises AlphabetViolation naming the first
-    symbol outside the alphabet; other symbols outside it are left to
-    verify.
+    Long lines are read in windows of about _PARSE_WINDOW characters. When
+    n is known (the header or the argument) and the text holds at least
+    _READ_GATE characters per symbol, _StretchReader reads the windows as
+    progression stretches, the shape of a cover splice, and each stretch
+    is appended as a slice of the residue table, with no int per symbol;
+    below the gate no O(n) table is built. All else goes through _tokens.
+    Either way the symbols and errors are those of int() over the tokens:
+    a token that is not an integer raises int()'s ValueError naming it. A
+    symbol that does not fit in 32 bits raises AlphabetViolation naming
+    the first symbol outside the alphabet; other symbols outside it are
+    left to verify.
     """
     header_n = header_k = None
     symbols = array("I")
     misfit = None
+    read = None  # at the first symbol line: the stretch reader, or False below the gate
     for i, line in enumerate(content_lines(text)):
         if i == 0 and line.startswith("n="):
             header_n, header_k = parse_fields(line, "sequence header", ("n", "k"))
             continue
+        if read is None:
+            size = n if n is not None else header_n
+            read = (_StretchReader(size) if size is not None and 2 <= size
+                    and _READ_GATE * size <= len(text) else False)
         for window in _windows(line):
-            values = _tokens(window)
-            if misfit is None:
+            for values in read(window) if read else (_tokens(window),):
+                if misfit is not None:
+                    continue
+                if isinstance(values, array):
+                    symbols += values
+                    continue
                 try:
                     symbols.fromlist(values)
                 except OverflowError:
@@ -607,7 +730,7 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
     if n is None or k is None:
         raise ValueError("alphabet size and radius not given and no header found")
     if misfit is not None:
-        # this line holds a symbol past 32 bits, so the first symbol outside
-        # the alphabet lies in it or before it; RadiusSequence names that one
+        # these values hold a symbol past 32 bits, so the first symbol outside
+        # the alphabet lies in them or before them; RadiusSequence names that one
         symbols = chain(symbols, misfit)
     return RadiusSequence(n, k, symbols)

@@ -313,6 +313,30 @@ class TestConstruct:
         assert out == plain
         assert sq.parse_sequence(out).symbols == cv.sequence_from_cover(plan()).symbols
 
+    @pytest.mark.parametrize("gate", [None, 0])
+    @pytest.mark.parametrize(
+        "n,k,strategy",
+        [(300, 2, "two-radius"), (400, 5, "prime"), (200, 6, "tiling"), (2000, 3, "prime")],
+    )
+    def test_output_parses_to_the_plans_splice(self, tmp_path, capsys, monkeypatch,
+                                                n, k, strategy, gate):
+        # on one line and cut into lines of p+k tokens; a gate of 0 has the
+        # stretch reader read every output, the real gate only the largest
+        if gate is not None:
+            monkeypatch.setattr(sq, "_READ_GATE", gate)
+        cover_file = tmp_path / "cover.txt"
+        code, out, _ = run_cli(capsys, "construct", "--n", str(n), "--k", str(k),
+                               "--strategy", strategy, "--cover-out", str(cover_file))
+        assert code == 0
+        plan = cv.parse_cover(cover_file.read_text())
+        expected = cv.sequence_from_cover(plan)
+        width = plan.p + plan.k
+        header, line = out.rstrip("\n").rsplit("\n", 1)
+        tokens = line.split(" ")
+        lines = "\n".join(" ".join(tokens[i:i + width]) for i in range(0, len(tokens), width))
+        for text in (out, f"{header}\n{lines}\n"):
+            assert sq.parse_sequence(text) == expected
+
     def test_json_output_file_equals_stdout(self, tmp_path, capsys):
         args = ("construct", "--n", "30", "--k", "3", "--strategy", "prime",
                 "--format", "json")

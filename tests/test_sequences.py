@@ -926,6 +926,164 @@ class TestParseFastPath:
         assert calls == (["[" + window.replace(" ", ",") + "]"] if scanned else [])
 
 
+def split_oracle(text, n=None, k=None):
+    """parse_sequence as int() over split() of each symbol line: no window,
+    no JSON scanner and no stretch reader."""
+    lines = list(sq.content_lines(text))
+    header = [None, None]
+    if lines and lines[0].startswith("n="):
+        header = sq.parse_fields(lines.pop(0), "sequence header", ("n", "k"))
+    values = [int(tok) for line in lines for tok in line.split()]
+    n = header[0] if n is None else n
+    k = header[1] if k is None else k
+    if n is None or k is None:
+        raise ValueError("alphabet size and radius not given and no header found")
+    return sq.RadiusSequence(n, k, values)
+
+
+def outcome(parse, text, n=None):
+    """parse(text, n=n)'s (n, k, symbols), or the type and text of its error."""
+    try:
+        seq = parse(text, n=n)
+    except (ValueError, RadiusSeqError) as exc:
+        return type(exc), str(exc)
+    return seq.n, seq.k, seq.symbols.tolist()
+
+
+# tokens that int() reads but that are not the canonical name of a residue,
+# tokens outside the alphabet or past 32 bits, and one that int() refuses
+ODD_TOKENS = ["007", "+5", "1_0", "-1", "00", str(2**32), str(2**32 + 3), "x"]
+
+
+@st.composite
+def stretch_texts(draw):
+    """(text, n override or None): an (n, k) header over a word of
+    progression stretches of any step mod n, 0 and n-1 included, damaged
+    by changed symbols, a deleted run and swaps, with some tokens written
+    as ODD_TOKENS or symbols n and above, and some separators as two
+    spaces, a tab or a line break."""
+    n = draw(st.integers(2, 30))
+    k = draw(st.integers(1, 4))
+    word = []
+    for _ in range(draw(st.integers(1, 5))):
+        s, d = draw(st.integers(0, n - 1)), draw(st.sampled_from([0, 1, n - 1]) | st.integers(0, n - 1))
+        length = draw(st.sampled_from([1, 7, 8, 9]) | st.integers(1, 200))
+        word += [(s + i * d) % n for i in range(length)]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(word) - 1))
+        damage = draw(st.sampled_from(["change", "delete", "swap"]))
+        if damage == "change":
+            word[at] = draw(st.integers(0, n - 1))
+        elif damage == "delete":
+            del word[at:at + draw(st.integers(1, 30))]
+        else:
+            other = draw(st.integers(0, len(word) - 1))
+            word[at], word[other] = word[other], word[at]
+        if not word:
+            word = [0]
+    tokens = [str(s) for s in word]
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(tokens) - 1))
+        # a name that the expected one is a prefix of, too: "7" as "70" or "7_1"
+        tokens[at] = draw(st.sampled_from(ODD_TOKENS) | st.integers(n, n + 40).map(str)
+                          | st.sampled_from(["0", "1", "_1", "00"]).map(tokens[at].__add__))
+    seps = [" "] * len(tokens)
+    for _ in range(draw(st.integers(0, 3))):
+        seps[draw(st.integers(0, len(seps) - 1))] = draw(st.sampled_from(["  ", "\t", "\n", " \n "]))
+    body = "".join(tok + sep for tok, sep in zip(tokens, seps))
+    override = draw(st.none() | st.integers(2, 40))
+    return f"# drawn\nn={n} k={k}\n{body}\n", override
+
+
+class TestStretchReader:
+    @pytest.mark.parametrize("window", [None, 1, 9, 100])
+    @pytest.mark.parametrize("copies", [None, 1, 2])
+    @settings(max_examples=150, deadline=None)
+    @given(stretch_texts())
+    def test_matches_split_oracle(self, window, copies, case):
+        # the gate is lowered so that the reader reads every drawn text,
+        # and a table of 1 or 2 copies makes its pieces wrap often
+        text, override = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sq, "_READ_GATE", 0)
+            if window is not None:
+                mp.setattr(sq, "_PARSE_WINDOW", window)
+            if copies is not None:
+                mp.setattr(sq, "_TABLE_REPEATS", copies)
+            assert outcome(sq.parse_sequence, text, override) == outcome(split_oracle, text, override)
+
+    @pytest.mark.parametrize("copies", [1, 64])
+    @pytest.mark.parametrize("at", [0, 6, 7, 8, 29, 30, 31, 59])
+    @pytest.mark.parametrize("suffix", ["0", "_1", " 0", "\t0"])
+    def test_a_token_that_extends_a_term_is_whole(self, monkeypatch, copies, at, suffix):
+        # the term's name agrees with the start of the token: at the end of
+        # the probe (7), of a piece inside a table of one copy (29, 59) or
+        # of the window, it must still be read as the whole token
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+        monkeypatch.setattr(sq, "_TABLE_REPEATS", copies)
+        tokens = [str(i % 30) for i in range(60)]
+        tokens[at] += suffix
+        text = "n=30 k=1\n" + " ".join(tokens) + "\n"
+        assert outcome(sq.parse_sequence, text) == outcome(split_oracle, text)
+        tokens[at] = "0" + tokens[at]
+        text = "n=30 k=1\n" + " ".join(tokens) + "\n"
+        assert outcome(sq.parse_sequence, text) == outcome(split_oracle, text)
+
+    def read_through_tokens(self, monkeypatch, text, **kwargs):
+        """(parse_sequence(text), how many tokens _tokens read)."""
+        tokens, read = sq._tokens, []
+        monkeypatch.setattr(sq, "_tokens", lambda window: read.append(tokens(window)) or read[-1])
+        seq = sq.parse_sequence(text, **kwargs)
+        return seq, sum(map(len, read))
+
+    @pytest.mark.parametrize("n, d", [(7, 3), (12, 5), (101, 1), (101, 100), (2011, 1728)])
+    def test_progressions_are_read_as_stretches(self, monkeypatch, n, d):
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+        word = [(3 + i * d) % n for i in range(70 * n)]
+        seq, plain = self.read_through_tokens(monkeypatch, f"n={n} k=2\n" + " ".join(map(str, word)))
+        assert seq.symbols.tolist() == word and plain == 0
+
+    def test_damage_is_read_through_tokens_near_it(self, monkeypatch):
+        # a changed symbol fails one probe, which hands the next few tokens
+        # to _tokens; then the stretch is read again
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+        n, word = 1009, [i * 17 % 1009 for i in range(20_000)]
+        word[5000] = 3
+        text = f"n={n} k=2\n" + " ".join(map(str, word))
+        seq, plain = self.read_through_tokens(monkeypatch, text)
+        assert seq.symbols.tolist() == word and 0 < plain <= 2 * sq._RUN_PROBE
+
+    def test_gate_reads_a_splice_as_stretches(self, monkeypatch):
+        # a (2011, 3) prime splice holds more than _READ_GATE characters
+        # per symbol, at the gate's real value
+        seq = cv.sequence_from_cover(cv.prime_cover(2011, 3))
+        text = format_text(seq)
+        assert len(text) >= sq._READ_GATE * seq.n
+        parsed, plain = self.read_through_tokens(monkeypatch, text)
+        assert parsed.symbols == seq.symbols and plain < len(seq) // 1000
+
+    def test_override_n_builds_its_own_tables(self, monkeypatch):
+        # the header's n=5 would read nothing here; --n 2011 reads stretches
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+        word = [i * 10 % 2011 for i in range(5000)]
+        text = "n=5 k=2\n" + " ".join(map(str, word))
+        seq, plain = self.read_through_tokens(monkeypatch, text, n=2011)
+        assert (seq.n, seq.symbols.tolist(), plain) == (2011, word, 0)
+
+    def test_huge_header_n_builds_no_table(self):
+        # n = 4*10**9 against a few symbols: below the gate, so none of the
+        # reader's O(n) tables is built, and nothing near n bytes is held
+        text = "n=4000000000 k=1\n0 1 2 3999999999 2\n"
+        tracemalloc.start()
+        try:
+            seq = sq.parse_sequence(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (seq.n, seq.symbols.tolist()) == (4_000_000_000, [0, 1, 2, 3999999999, 2])
+        assert peak < 64 * 1024
+
+
 def held_bytes(build):
     """(result, bytes that tracemalloc still counts once build() returns)."""
     tracemalloc.start()
