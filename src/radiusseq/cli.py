@@ -9,10 +9,10 @@ requests produce byte-identical reports.
 verify reads its input with sequences.parse_sequence. A text with at
 least _READ_GATE characters per alphabet symbol, such as a cover splice,
 is read as progression stretches: each is compared in C with the
-space-joined names of a strided slice of the residue table, the read-side
-mirror of covers.splice_runs, and appended as that slice. Every other
-token is read as int() reads it, so the symbols and errors do not depend
-on the route. sequences.pair_rows then marks the pairs, and the report
+names, each with its space, of a strided slice of the residue table, the
+read-side mirror of covers.splice_runs, and appended as that slice.
+Every other token is read as int() reads it, so the symbols and errors
+do not depend on the route. sequences.pair_rows then marks the pairs, and the report
 streams the missing ones row by row.
 
 construct prints only a checked sequence, and "verified": true in its JSON

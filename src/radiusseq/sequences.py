@@ -183,23 +183,22 @@ def _marks_table(symbols: array, n: int) -> bytearray:
 
 
 def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int,
-                 spans: list[tuple[int, int]], marks: bytearray | None) -> list[int]:
+                 spans: list[tuple[int, int]], marks: bytearray) -> list[int]:
     """The pairs that the positions of `spans` in lo..hi-1 meet within
     `reach` symbols after them, as n-1 ints: row x holds a bit for each
     y > x, the most significant for y = x+1, set when x and y occur at
-    most reach apart. `marks` is a zeroed n*n table, or None for one of
-    its own.
+    most reach apart. The cells are marked into the n*n table `marks`
+    and the rows folded from all of it, so a table that already holds
+    another share's cells folds to the rows of both.
 
     Each block of positions checks the alphabet of the symbols it reads
     before marking them. Blocks run in order and each reads `reach`
     symbols past its end, so the symbol outside the alphabet that this
     names is the first one from lo on: pair_rows leaves out of `spans`
     only terms of progression runs, all inside the alphabet."""
-    # cell x*n + y marks "x occurs at most reach before y"
-    if marks is None:
-        marks = _marks_table(symbols, n)
-    # blocks shrink as the reach grows, so one gathers fewer than
-    # 8 * _VERIFY_BLOCK cells until it is down to a single symbol
+    # cell x*n + y marks "x occurs at most reach before y". Blocks shrink
+    # as the reach grows, so one gathers fewer than 8 * _VERIFY_BLOCK
+    # cells until it is down to a single symbol
     step = max(1, _VERIFY_BLOCK // max(1, reach // 4))
     for first, stop in spans:
         first, stop = max(first, lo), min(stop, hi)
@@ -230,24 +229,31 @@ def residue_table(n: int, copies: int) -> array:
     return array("I", range(n)) * copies
 
 
+def _agreement(a, b) -> int:
+    """The length of the longest common prefix of two strs or two
+    memoryviews, bisected with C slice compares: the one search of both
+    progression matchers, _run_end and _StretchReader."""
+    lo, hi = 0, min(len(a), len(b)) + 1  # a[:lo] == b[:lo]; a[:hi] != b[:hi] or hi is past one
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def _run_end(view: memoryview, table: memoryview, n: int, at: int, s: int, d: int) -> int:
     """The first index from `at` on at which `view` leaves the step-d
     progression mod n that holds residue s there, or len(view). Slices
     of the view are compared in C with strided slices of `table`, copies
-    of 0..n-1, and the first that differs is bisected."""
+    of 0..n-1, and _agreement finds where the first that differs leaves it."""
     last = len(table) - 1
     while at < len(view):
         m = min(len(view) - at, (last - s) // d + 1)
-        if view[at:at + m] != table[s:s + m * d:d]:
-            # the first lo terms agree, and one of the terms lo..hi-1 differs
-            lo, hi = 0, m
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if view[at + lo:at + mid] == table[s + lo * d:s + mid * d:d]:
-                    lo = mid
-                else:
-                    hi = mid
-            return at + lo
+        terms, progression = view[at:at + m], table[s:s + m * d:d]
+        if terms != progression:
+            return at + _agreement(terms, progression)
         at, s = at + m, (s + m * d) % n
     return at
 
@@ -280,24 +286,6 @@ def _long_runs(symbols: array, n: int, reach: int) -> list[tuple[int, int, int]]
     return runs
 
 
-def _balanced_cut(length: int, reach: int) -> int:
-    """The cut that splits the cells min(reach, length-1-i) of the
-    positions i most evenly between i < cut and i >= cut: the two halves
-    differ by at most reach cells. Needs 1 <= reach <= length; pair_rows
-    passes reach = length when runs leave only the last reach positions."""
-    full = (length - reach) * reach  # positions with a whole reach
-    total = full + reach * (reach - 1) // 2
-    if 2 * full >= total:
-        # the cut holds cut*reach cells: the nearest to total/2
-        return (total + reach) // (2 * reach)
-    # the last u positions hold u(u-1)/2 cells, u <= reach; take the u
-    # whose u(u-1) lies nearest total
-    u = (1 + math.isqrt(1 + 4 * total)) // 2
-    if (u + 1) * u - total < total - u * (u - 1):
-        u += 1
-    return length - u
-
-
 def pair_rows(seq: RadiusSequence) -> list[int]:
     """The pairs of distinct symbols that occur within distance k in `seq`,
     as n-1 ints: row x holds a bit for each y > x, the most significant
@@ -313,36 +301,34 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
 
     When those positions look at _SPLIT_CELLS pairs or more and
     pool_size(2, 2) is 2, the sequence is cut at c into two spans that
-    pool_map marks, [c, L) in a forked child's own table, and their
-    folded rows are ORed. The cut balances the pairs that the positions
-    marked cell by cell look at to within k. An n*n table that cannot be
-    allocated raises RadiusSeqError.
+    pool_map marks, [c, L) in a forked child, and their folded rows are
+    ORed. The cut halves the positions marked cell by cell. Both spans
+    mark into the one table, each process into its own copy of it, so a
+    span marked here again after its child failed folds to the union,
+    which the OR leaves unchanged. An n*n table that cannot be allocated
+    raises RadiusSeqError.
     """
     n, symbols = seq.n, seq.symbols
     length = len(symbols)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
     reach = min(seq.k, length - 1)
     # the table comes before the residue table of the run search, so a
-    # table that cannot be allocated is still the error. The first marking,
-    # here or in the child forked before it, takes it; a share marked here
-    # again after its child failed makes its own
-    tables = [_marks_table(symbols, n)]
+    # table that cannot be allocated is still the error
+    marks = _marks_table(symbols, n)
     runs = _long_runs(symbols, n, reach) if n > 1 and length >= n + reach else []
     # the positions marked cell by cell: all but the first R - reach of each run
     spans = list(zip([0] + [b - reach for _, b, _ in runs], [a for a, _, _ in runs] + [length]))
     positions = sum(b - a for a, b in spans)
     bounds = [(0, length)]
     if positions * reach >= _SPLIT_CELLS and pool_size(2, 2) == 2:
-        # the last reach positions of the sequence are among them, so the
-        # i-th of them looks at min(reach, positions-1-i) pairs
-        rank = _balanced_cut(positions, reach)
+        rank = positions // 2
         for a, b in spans:
             if rank <= b - a:
                 break
             rank -= b - a
         bounds = [(0, a + rank), (a + rank, length)]
-    halves = pool_map(lambda bound: _marked_rows(symbols, n, reach, *bound, spans,
-                                                 tables.pop() if tables else None), bounds, 2)
+    halves = pool_map(lambda bound: _marked_rows(symbols, n, reach, *bound, spans, marks), bounds, 2)
+    del marks  # frees the n*n table before the rows are ORed
     rows = [reduce(or_, row) for row in zip(*halves)]
     if runs:
         # offsets[c] is 1 when each a meets a + c (or a - c) in a run
@@ -524,17 +510,11 @@ def symbol_runs(symbols: array, sep: str):
         lead = sep
 
 
-def format_sequence(seq: RadiusSequence, comments: list[str] | None = None):
-    """Yield the shared text format in pieces: optional comments, a header
-    line ``n=<int> k=<int>``, then a line of space-separated decimal
-    symbols. ``"".join`` of the pieces is the whole text; no piece holds
-    more than _WRITE_CHUNK symbols."""
-    return format_text(seq.n, seq.k, symbol_runs(seq.symbols, " "), comments)
-
-
 def format_text(n: int, k: int, runs, comments: list[str] | None = None):
-    """format_sequence with the symbol line given as `runs`, pieces of it
-    that join to the space-separated symbols."""
+    """Yield the shared text format in pieces: optional comments, a header
+    line ``n=<int> k=<int>``, then the line of space-separated decimal
+    symbols that the pieces `runs` join to, such as symbol_runs(symbols,
+    " ") yields. ``"".join`` of the pieces is the whole text."""
     for c in comments or []:
         yield f"# {c}\n"
     yield f"n={n} k={k}\n"
@@ -598,52 +578,36 @@ def _tokens(window: str) -> list[int]:
 
 class _StretchReader:
     """Reads windows over an alphabet of n >= 2 symbols as chains of
-    progression stretches s, s+d, s+2d, ... mod n. At a token, the
-    residues s, t of it and the next token are looked up among the
-    canonical decimal names below n, d = t - s mod n, and the text is
-    compared in C with the space-joined names of the next _RUN_PROBE
-    terms, then of as many more as the residue table holds at a time,
-    bisected back to the last whole token that agrees. A failed probe
-    hands the text from it to _tokens: the width of _RUN_PROBE names,
-    doubled per failure in a row up to _PARSE_WINDOW. The tables are
-    O(n): the names of 0..n-1 laid out as the residue table, a dict from
-    each name to its residue, and the residue table itself."""
+    progression stretches s, s+d, s+2d, ... mod n. Its names are the
+    canonical decimal names below n, each with a space after it, and each
+    window is read with a space after it. At a token, the residues s, t of
+    it and the next token are looked up by name, d = t - s mod n, and the
+    text is compared in C with the joined names of the next _RUN_PROBE
+    terms, then of as many more as the residue table holds at a time; the
+    names whose space lies in the part that agrees (_agreement) are whole
+    tokens. A failed probe hands _tokens the text up to the first space
+    past `gap` characters, or to the window's end: the width of _RUN_PROBE
+    names, doubled per failure in a row up to _PARSE_WINDOW. The tables
+    are O(n): the names laid out as the residue table, a dict from each
+    name to its residue, and the residue table itself."""
 
     def __init__(self, n: int):
         self.n = n
         self.table = residue_table(n, _TABLE_REPEATS)
-        self.names = [str(s) for s in range(n)]
+        self.names = [str(s) + " " for s in range(n)]
         self.index = {name: s for s, name in enumerate(self.names)}
         self.names *= _TABLE_REPEATS
-        # characters that _tokens reads before the next probe, carried from
-        # window to window, and what the next failed probe sets that to: the
-        # width of _RUN_PROBE names, doubled per failure in a row up to a window
-        self.skip = 0
+        # characters that the next failed probe hands to _tokens, carried
+        # from window to window
         self.base = self.gap = _RUN_PROBE * (len(str(n - 1)) + 1)
 
-    def _match(self, window: str, pos: int, s: int, d: int, m: int) -> tuple[int, int]:
-        """(j, after): window[pos:] starts with the whole tokens of the
-        first j of the m terms from s of the step-d progression, and after
-        is the index just past the space that follows the j-th. The text is
-        compared in C with the names of those terms, joined by spaces, and
-        bisected back to the longest prefix that agrees."""
-        names = " ".join(self.names[s:s + m * d:d])
-        agree = len(names)
-        if window.startswith(names, pos):
-            if pos + agree == len(window) or window[pos + agree] == " ":
-                return m, pos + agree + 1
-        else:
-            lo, hi = 0, agree  # names[:lo] agrees, names[:hi] does not
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if window.startswith(names[lo:mid], pos + lo):
-                    lo = mid
-                else:
-                    hi = mid
-            agree = lo
-        # the token in which the agreement stops counts when it ends there in both
-        if names[agree:agree + 1] == " " and (pos + agree == len(window) or window[pos + agree] == " "):
-            return names.count(" ", 0, agree) + 1, pos + agree + 1
+    def _match(self, text: str, pos: int, s: int, d: int, m: int) -> tuple[int, int]:
+        """(j, after): text[pos:after] is the names, each with its space,
+        of the first j of the m terms from s of the step-d progression."""
+        names = "".join(self.names[s:s + m * d:d])
+        if text.startswith(names, pos):
+            return m, pos + len(names)
+        agree = _agreement(text[pos:pos + len(names)], names)
         return names.count(" ", 0, agree), pos + names.rfind(" ", 0, agree) + 1
 
     def __call__(self, window: str):
@@ -651,31 +615,26 @@ class _StretchReader:
         array("I") slice of the residue table, everything else as the list
         that _tokens reads."""
         n, table, index = self.n, self.table, self.index
+        text = window + " "
         last, end, pos = len(table) - 1, len(window), 0
         while pos < end:
-            if self.skip:
-                cut = window.find(" ", pos + self.skip)
-                if cut == -1:
-                    self.skip, cut = max(0, self.skip - (end - pos)), end
-                else:
-                    self.skip = 0
-                yield _tokens(window[pos:cut])
-                pos = cut + 1
-                continue
-            first = window.find(" ", pos)
-            second = window.find(" ", first + 1) if first != -1 else -1
-            s = index.get(window[pos:first]) if first != -1 else None
-            t = index.get(window[first + 1:second if second != -1 else end]) if s is not None else None
+            # the names of the token at pos and of the next, each with its space
+            first = text.find(" ", pos) + 1
+            s = index.get(text[pos:first])
+            t = index.get(text[first:text.find(" ", first) + 1]) if s is not None else None
             j = 0
             if t is not None and t != s:
                 d = (t - s) % n
-                j, after = self._match(window, pos, s, d, _RUN_PROBE)
+                j, after = self._match(text, pos, s, d, _RUN_PROBE)
             if j < _RUN_PROBE:
-                self.skip, self.gap = self.gap, min(2 * self.gap, _PARSE_WINDOW)
+                cut = text.find(" ", min(pos + self.gap, end))
+                self.gap = min(2 * self.gap, _PARSE_WINDOW)
+                yield _tokens(window[pos:cut])
+                pos = cut + 1
                 continue
             self.gap = self.base
             # the stretch goes on in pieces inside the table, each of at most
-            # as many terms as the rest of the window could hold, until one
+            # as many terms as the rest of the text could hold, until one
             # agrees only in part
             m = j
             while j:
@@ -683,8 +642,8 @@ class _StretchReader:
                 pos, s = after, (s + j * d) % n
                 if j < m or pos >= end:
                     break
-                m = min((last - s) // d + 1, (end - pos + 1) // 2)
-                j, after = self._match(window, pos, s, d, m)
+                m = min((last - s) // d + 1, (end + 1 - pos) // 2)
+                j, after = self._match(text, pos, s, d, m)
 
 
 def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> RadiusSequence:

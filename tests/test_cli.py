@@ -493,7 +493,7 @@ class TestPieceWriter:
         else:
             comments = [line[2:] for line in out.splitlines() if line.startswith("# ")]
             assert f" length={len(seq)} " in comments[0]
-            want = sq.format_sequence(seq, comments)
+            want = sq.format_text(seq.n, seq.k, sq.symbol_runs(seq.symbols, " "), comments)
         assert out == "".join(want)
 
     @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "output-file"])
@@ -533,7 +533,8 @@ def verify_inputs(tmp_path_factory):
     assert cli.main([*construct_argv("700", "3", "prime", "text"), "--output", str(valid)]) == 0
     rng = random.Random(20)
     word = sq.RadiusSequence(400, 4, [rng.randrange(400) for _ in range(30_000)])
-    (work / "random.txt").write_text("".join(sq.format_sequence(word)), encoding="ascii")
+    text = "".join(sq.format_text(word.n, word.k, sq.symbol_runs(word.symbols, " ")))
+    (work / "random.txt").write_text(text, encoding="ascii")
     return work
 
 

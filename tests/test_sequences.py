@@ -195,16 +195,25 @@ def children(monkeypatch):
     return started
 
 
-def test_balanced_cut_evens_the_cells():
-    # the cells of position i are min(reach, length-1-i); no cut splits
-    # them more evenly, and the two halves differ by at most reach
-    for length in [*range(2, 60), 120, 997, 3000]:
-        for reach in {1, 2, 3, length // 3, length // 2, 2 * length // 3, length - 1, length} - {0}:
-            before = list(accumulate((min(reach, length - 1 - i) for i in range(length)), initial=0))
-            total = before[-1]
-            gap = abs(total - 2 * before[sq._balanced_cut(length, reach)])
-            assert gap == min(abs(total - 2 * cells) for cells in before), (length, reach)
-            assert gap <= reach, (length, reach)
+@needs_two_cpus
+def test_forced_split_halves_the_positions_marked_cell_by_cell(monkeypatch, children):
+    # a damaged splice after a random word: its runs are marked as
+    # diagonals, and the word, the damage and the last k positions of each
+    # run cell by cell; the child marks the later half of those positions
+    monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
+    rng = random.Random(3)
+    symbols = cv.sequence_from_cover(cv.two_radius_cover(31)).symbols.tolist()
+    for at in rng.sample(range(len(symbols)), 4):
+        symbols[at] = (symbols[at] + rng.randrange(1, 31)) % 31
+    seq = sq.RadiusSequence(31, 2, [rng.randrange(31) for _ in range(50)] + symbols)
+    runs = sq._long_runs(seq.symbols, seq.n, seq.k)
+    marked = [i for i in range(len(seq)) if not any(a <= i < b - seq.k for a, b, _ in runs)]
+    assert runs and len(marked) < len(seq)
+    missing = brute_force_missing(seq)
+    assert sq.verify(seq) == (not missing, missing)
+    assert [c.exitcode for c in children] == [0]
+    [(cut, end)] = children[0].share
+    assert end == len(seq) and [i for i in marked if i >= cut] == marked[len(marked) // 2:]
 
 
 @pytest.mark.skipif(not FORK, reason="the split needs the fork start method")
@@ -221,7 +230,7 @@ class TestSplitVerify:
     @pytest.mark.parametrize("gap", [1, 2, 3])
     def test_pair_straddling_the_half_is_found(self, monkeypatch, children, gap):
         monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
-        cut = sq._balanced_cut(120, gap)
+        cut = 60  # the median of the 120 positions, all marked cell by cell
         word = straddle_without_run(gap, cut=cut)
         assert sq.verify(sq.RadiusSequence(3, gap, word)) == (True, [])
         word = straddle_without_run(gap + 1, cut=cut)
@@ -417,7 +426,8 @@ class TestBlockAlphabet:
     @pytest.fixture
     def cut(self):
         assert self.LENGTH * self.K >= sq._SPLIT_CELLS
-        return sq._balanced_cut(self.LENGTH, self.K)
+        # the median of the positions, all marked cell by cell
+        return self.LENGTH // 2
 
     @needs_two_cpus
     @pytest.mark.parametrize("offset", [0, K - 1, K, 20_000],
@@ -516,6 +526,36 @@ def progression_words(draw):
             run.append(n + draw(st.integers(0, 3)))
         symbols += run
     return sq.RadiusSequence(n, k, symbols)
+
+
+def plain_agreement(a, b):
+    """The length of the longest common prefix, one element at a time."""
+    i = 0
+    while i < min(len(a), len(b)) and a[i] == b[i]:
+        i += 1
+    return i
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 3), max_size=40),
+       st.sampled_from(["equal", "prefix", "first", "last", "any"]), st.data())
+def test_agreement_is_the_longest_common_prefix(a, case, data):
+    # b equals a, is a proper prefix of it, or differs from it in its
+    # first, its last or any one element
+    b = list(a)
+    if case == "prefix" and a:
+        b = a[:data.draw(st.integers(0, len(a) - 1))]
+    elif case != "equal" and a:
+        at = {"first": 0, "last": len(a) - 1}.get(case)
+        if at is None:
+            at = data.draw(st.integers(0, len(a) - 1))
+        b[at] = (b[at] + data.draw(st.integers(1, 3))) % 4
+    for x, y in ((a, b), (b, a)):
+        expected = plain_agreement(x, y)
+        assert sq._agreement("".join(map(str, x)), "".join(map(str, y))) == expected
+        # the second view strided, as a slice of the residue table is
+        strided = memoryview(array("I", [t for v in y for t in (v, 9)]))[::2]
+        assert sq._agreement(memoryview(array("I", x)), strided) == expected
 
 
 class TestProgressionRuns:
@@ -801,7 +841,7 @@ class TestShrinkAlphabet:
 
 
 def format_text(seq, comments=None):
-    return "".join(sq.format_sequence(seq, comments))
+    return "".join(sq.format_text(seq.n, seq.k, sq.symbol_runs(seq.symbols, " "), comments))
 
 
 class TestSequenceFormat:
@@ -815,7 +855,7 @@ class TestSequenceFormat:
     def test_chunked_text_equals_one_join(self, monkeypatch, length):
         monkeypatch.setattr(sq, "_WRITE_CHUNK", 3)
         seq = sq.RadiusSequence(900, 2, [(37 * i) % 900 for i in range(length)])
-        pieces = list(sq.format_sequence(seq, ["a", "b c"]))
+        pieces = list(sq.format_text(seq.n, seq.k, sq.symbol_runs(seq.symbols, " "), ["a", "b c"]))
         symbols = " ".join(str(s) for s in seq.symbols)
         assert "".join(pieces) == f"# a\n# b c\nn=900 k=2\n{symbols}\n"
         assert max(len(p.split()) for p in pieces) <= 3
