@@ -27,7 +27,9 @@ apart and the relabelling is injective, so the shrunk sequence is k-radius
 too and is not checked again. naive and eulerian go through
 sequences.verify. It marks each run of at least n + k terms s, s+d, ...
 mod n, gcd(d, n) = 1, as the k diagonals of offsets +-j*d, and every other
-pair within distance k one cell at a time in an n*n table.
+pair within distance k one cell at a time: into a set, from which each
+cell sets its bit in its row, when those cells are few next to n*n and
+the length could hold every pair, and otherwise into an n*n table.
 
 covers.splice_runs writes each certified triple as names[start:stop:step]
 over the names of the residue table, relabelled by covers.shrink_labels

@@ -27,6 +27,11 @@ _VERIFY_BLOCK = 4096
 # pairs marked cell by cell from which verify marks the later positions in
 # a forked child; the child's start paid for itself from about 120,000 cells
 _SPLIT_CELLS = 200_000
+# pair_rows gathers its cells in a set, not an n*n table, while FILL times
+# the cells it may mark stays below n*n. On random words at n = 500 to
+# 9,239 the set's fold took 1.0-1.4x the table's time at one cell in 64
+# of n*n, 0.8-1.0x at one in 96 and 0.6-0.8x at one in 128
+FILL = 96
 # copies of 0..n-1 in the residue table that splices are cut from and that
 # progression runs and parsed stretches are compared with: on the tiling
 # covers at p = 1,319 to 7,079, 16 spliced 2-4x slower, and 256 was no
@@ -44,6 +49,11 @@ _READ_GATE = 1024
 # of a folded row back as 1 for a clear bit (a missing pair), 0 for a set one
 _DIGITS = bytes.maketrans(b"\0\1", b"01")
 _CLEAR = bytes.maketrans(b"01", b"\1\0")
+# missing_rows finds each clear bit of a row's digits with str.find while
+# _FEW_CLEAR times their count stays within the row's width, and else
+# lists the row with compress: the two cost the same at a clear bit in
+# 8 to 16 of widths 100 to 9,000, and find was 7-47x faster at one bit
+_FEW_CLEAR = 12
 # symbols per written piece, and characters per parsed window of a long
 # line: serializing and parsing hold O(these) Python objects, not O(length)
 _WRITE_CHUNK = 1 << 16
@@ -183,13 +193,17 @@ def _marks_table(symbols: array, n: int) -> bytearray:
 
 
 def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int,
-                 spans: list[tuple[int, int]], marks: bytearray) -> list[int]:
+                 spans: list[tuple[int, int]], marks: bytearray | None) -> list[int]:
     """The pairs that the positions of `spans` in lo..hi-1 meet within
     `reach` symbols after them, as n-1 ints: row x holds a bit for each
     y > x, the most significant for y = x+1, set when x and y occur at
-    most reach apart. The cells are marked into the n*n table `marks`
-    and the rows folded from all of it, so a table that already holds
-    another share's cells folds to the rows of both.
+    most reach apart.
+
+    With `marks` None the cells are gathered in one set and each sets
+    its bit in its row, so the work follows the cells, not n*n. Else they
+    are marked into the n*n table `marks` and the rows folded from all
+    of it, so a table that already holds another share's cells folds to
+    the rows of both.
 
     Each block of positions checks the alphabet of the symbols it reads
     before marking them. Blocks run in order and each reads `reach`
@@ -200,6 +214,7 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int,
     # as the reach grows, so one gathers fewer than 8 * _VERIFY_BLOCK
     # cells until it is down to a single symbol
     step = max(1, _VERIFY_BLOCK // max(1, reach // 4))
+    seen = set()
     for first, stop in spans:
         first, stop = max(first, lo), min(stop, hi)
         for start in range(first, stop, step):
@@ -212,8 +227,20 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int,
             # the end of the sequence are skipped, so the work follows the cells
             for d in range(1, min(reach + 1, len(block))):
                 cells += map(add, scaled, block[d:d + end - start])
-            for i in cells:
-                marks[i] = 1
+            if marks is None:
+                seen.update(cells)
+            else:
+                for i in cells:
+                    marks[i] = 1
+    if marks is None:
+        rows = [0] * (n - 1)
+        for cell in seen:
+            x, y = divmod(cell, n)
+            if x < y:
+                rows[x] |= 1 << (n - 1 - y)
+            elif y < x:
+                rows[y] |= 1 << (n - 1 - x)
+        return rows
     # fold column x (y before x) into row x (x before y), right of the diagonal
     return [
         int(marks[x * n + x + 1:(x + 1) * n].translate(_DIGITS), 2)
@@ -286,6 +313,14 @@ def _long_runs(symbols: array, n: int, reach: int) -> list[tuple[int, int, int]]
     return runs
 
 
+def _gathers_cells(n: int, length: int, reach: int, positions: int = 0) -> bool:
+    """Whether pair_rows gathers the cells that `positions` positions
+    mark in a set rather than an n*n table: only where length * reach,
+    a bound on the pairs a sequence meets, reaches C(n,2), so that no
+    k-radius input misses it, and FILL times the cells stays below n*n."""
+    return math.comb(n, 2) <= length * reach and FILL * positions * reach < n * n
+
+
 def pair_rows(seq: RadiusSequence) -> list[int]:
     """The pairs of distinct symbols that occur within distance k in `seq`,
     as n-1 ints: row x holds a bit for each y > x, the most significant
@@ -297,28 +332,34 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
     work per cell: its first R - reach positions, at least n of them,
     hold every residue a and pair it with a + j*d for each j <= reach, so
     every pair at an offset +-j*d mod n occurs. The other positions are
-    marked one cell at a time in an n*n table, which is folded into rows.
+    marked one cell at a time. When C(n,2) <= L*reach (no sequence below
+    that bound is k-radius) and FILL times the cells they look at stays
+    below n*n, the cells are gathered in a set and each sets its bit in
+    its row, with no work per pair of the alphabet. Otherwise they are
+    marked in an n*n table, which is folded into rows.
 
     When those positions look at _SPLIT_CELLS pairs or more and
     pool_size(2, 2) is 2, the sequence is cut at c into two spans that
-    pool_map marks, [c, L) in a forked child, and their folded rows are
-    ORed. The cut halves the positions marked cell by cell. Both spans
-    mark into the one table, each process into its own copy of it, so a
-    span marked here again after its child failed folds to the union,
-    which the OR leaves unchanged. An n*n table that cannot be allocated
-    raises RadiusSeqError.
+    pool_map marks, [c, L) in a forked child, and their rows are ORed.
+    The cut halves the positions marked cell by cell. With a table, both
+    spans mark into it, each process into its own copy, so a span marked
+    here again after its child failed folds to the union, which the OR
+    leaves unchanged. An n*n table that cannot be allocated raises
+    RadiusSeqError.
     """
     n, symbols = seq.n, seq.symbols
     length = len(symbols)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
     reach = min(seq.k, length - 1)
-    # the table comes before the residue table of the run search, so a
-    # table that cannot be allocated is still the error
-    marks = _marks_table(symbols, n)
+    # where no cells could be gathered, the table comes before the residue
+    # table of the run search, so a table that cannot be allocated is the error
+    marks = None if _gathers_cells(n, length, reach) else _marks_table(symbols, n)
     runs = _long_runs(symbols, n, reach) if n > 1 and length >= n + reach else []
     # the positions marked cell by cell: all but the first R - reach of each run
     spans = list(zip([0] + [b - reach for _, b, _ in runs], [a for a, _, _ in runs] + [length]))
     positions = sum(b - a for a, b in spans)
+    if marks is None and not _gathers_cells(n, length, reach, positions):
+        marks = _marks_table(symbols, n)
     bounds = [(0, length)]
     if positions * reach >= _SPLIT_CELLS and pool_size(2, 2) == 2:
         rank = positions // 2
@@ -328,7 +369,7 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
             rank -= b - a
         bounds = [(0, a + rank), (a + rank, length)]
     halves = pool_map(lambda bound: _marked_rows(symbols, n, reach, *bound, spans, marks), bounds, 2)
-    del marks  # frees the n*n table before the rows are ORed
+    del marks  # frees any n*n table before the rows are ORed
     rows = [reduce(or_, row) for row in zip(*halves)]
     if runs:
         # offsets[c] is 1 when each a meets a + c (or a - c) in a run
@@ -347,15 +388,25 @@ def missing_rows(rows: list[int]):
     n = len(rows) + 1
     for x, row in enumerate(rows):
         width = n - 1 - x
-        if row.bit_count() < width:
-            clear = format(row, f"0{width}b").encode().translate(_CLEAR)
-            yield x, list(compress(range(x + 1, n), clear))
+        clear = width - row.bit_count()
+        if not clear:
+            continue
+        bits = format(row, f"0{width}b")
+        if clear * _FEW_CLEAR <= width:
+            ys = []
+            at = bits.find("0")
+            while at >= 0:
+                ys.append(x + 1 + at)
+                at = bits.find("0", at + 1)
+            yield x, ys
+        else:
+            yield x, list(compress(range(x + 1, n), bits.encode().translate(_CLEAR)))
 
 
 def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
     """Check the k-radius property through pair_rows: long progression
-    runs as diagonals, every other position by ordered-pair marking, then
-    the fold.
+    runs as diagonals, every other position by ordered-pair marking into
+    a set of cells or, for dense marking, an n*n table, then the rows.
 
     Returns (ok, missing) where missing lists every unordered pair of
     distinct alphabet symbols that never co-occurs within distance k, in
@@ -525,14 +576,16 @@ def format_text(n: int, k: int, runs, comments: list[str] | None = None):
 def parse_fields(line: str, what: str, names: tuple[str, ...]) -> list[int]:
     """The integer values of the fields `names` on a ``name=value ...`` line.
 
-    A token without '=' or a missing field raises a ValueError that names
-    it; `what` says which kind of line was read.
+    A token without '=', a field given twice or a missing field raises a
+    ValueError that names it; `what` says which kind of line was read.
     """
     fields = {}
     for tok in line.split():
         name, eq, value = tok.partition("=")
         if not eq:
             raise ValueError(f"{what} {line!r} has a token {tok!r} without '='")
+        if name in fields:
+            raise ValueError(f"{what} {line!r} has more than one '{name}=' field")
         fields[name] = value
     for name in names:
         if name not in fields:

@@ -585,6 +585,13 @@ class TestVerify:
         assert code == 1 and out == ""
         assert err == "error: sequence header 'n=5 k' has a token 'k' without '='\n"
 
+    def test_header_field_given_twice_is_one_line(self, tmp_path, capsys):
+        f = tmp_path / "seq.txt"
+        f.write_text("n=3 k=1 n=4\n0 1 2 0\n")
+        code, out, err = run_cli(capsys, "verify", "--input", str(f))
+        assert (code, out) == (1, "")
+        assert err == "error: sequence header 'n=3 k=1 n=4' has more than one 'n=' field\n"
+
     def test_impossible_marks_table_is_one_line(self, tmp_path, capsys):
         # the allocation fails at once, so nothing is held
         f = tmp_path / "seq.txt"

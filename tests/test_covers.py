@@ -700,3 +700,7 @@ class TestCoverFormat:
     def test_header_token_without_equals(self):
         with pytest.raises(ValueError, match="has a token 'k' without '='"):
             cv.parse_cover("p=13 k\n1\n2\n")
+
+    def test_header_field_given_twice(self):
+        with pytest.raises(ValueError, match="^cover header 'p=7 p=11 k=2' has more than one 'p=' field$"):
+            cv.parse_cover("p=7 p=11 k=2\n1\n")

@@ -580,3 +580,7 @@ class TestLogFnFormat:
     def test_value_line_token_without_equals(self):
         with pytest.raises(ValueError, match="has a token 'f' without '='"):
             lg.parse_logfn("k=3\nq=2 f\n")
+
+    def test_value_line_field_given_twice(self):
+        with pytest.raises(ValueError, match="^logarithm line 'q=2 f=1 f=3' has more than one 'f=' field$"):
+            lg.parse_logfn("k=3\nq=2 f=1 f=3\n")

@@ -617,6 +617,113 @@ class TestProgressionRuns:
         assert sq.verify(seq) == (True, [])
 
 
+
+def rows_or_error(seq):
+    """pair_rows of `seq`, or the text of the AlphabetViolation it raises."""
+    try:
+        return sq.pair_rows(seq)
+    except AlphabetViolation as exc:
+        return str(exc)
+
+
+class TestCellFold:
+    """pair_rows gathers the cells it marks in a set where that costs less
+    than the n*n table, and both folds give the same rows."""
+
+    @staticmethod
+    def each_fold(seq, split):
+        """rows_or_error(seq) with the table fold forced, then the set's."""
+        results = []
+        for cells in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(sq, "_gathers_cells", lambda *args, cells=cells: cells)
+                if split:
+                    mp.setattr(sq, "_SPLIT_CELLS", 1)
+                results.append(rows_or_error(seq))
+        return results
+
+    @pytest.mark.parametrize("split", [False, True])
+    @settings(max_examples=150, deadline=None)
+    @given(radius_sequences())
+    def test_random_words_fold_alike(self, split, seq):
+        table, cells = self.each_fold(seq, split)
+        assert table == cells == rows_or_error(seq)
+
+    @pytest.mark.parametrize("split", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(damaged_splices())
+    def test_damaged_splices_fold_alike(self, split, case):
+        # a changed symbol, a swap or a deletion; a changed symbol may be p,
+        # outside the alphabet, which both folds name
+        _, seq, _, _ = case
+        table, cells = self.each_fold(seq, split)
+        assert table == cells == rows_or_error(seq)
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The calls of _marks_table and _long_runs made in the test, in order."""
+        made = []
+        for name in ("_marks_table", "_long_runs"):
+            real = getattr(sq, name)
+            monkeypatch.setattr(sq, name, lambda *args, name=name, real=real:
+                                made.append(name) or real(*args))
+        return made
+
+    def test_small_prime_splice_gathers_cells(self, calls):
+        rows = sq.pair_rows(cv.sequence_from_cover(cv.prime_cover(139, 3)))
+        assert calls == ["_long_runs"]
+        assert sum(map(int.bit_count, rows)) == math.comb(139, 2)
+
+    def test_random_word_marks_the_table(self, calls):
+        rng = random.Random(9)
+        seq = sq.RadiusSequence(50, 3, [rng.randrange(50) for _ in range(1000)])
+        assert math.comb(50, 2) <= len(seq) * seq.k  # the counting bound holds
+        missing = brute_force_missing(seq)
+        assert sq.verify(seq) == (not missing, missing)
+        assert calls == ["_long_runs", "_marks_table"]
+
+    def test_header_past_the_counting_bound_marks_the_table_first(self, calls):
+        # one run of n + 1 terms meets n pairs at k = 1, far below C(n,2):
+        # the table comes before the run search, as for an impossible n
+        n = 3000
+        rows = sq.pair_rows(sq.RadiusSequence(n, 1, [t % n for t in range(n + 1)]))
+        assert calls == ["_marks_table", "_long_runs"]
+        assert sum(map(int.bit_count, rows)) == n
+        assert rows[0] == 1 << (n - 2) | 1 and rows[1] == 1 << (n - 3)
+
+
+def clear_ys(rows):
+    """The oracle of missing_rows: [(x, ys)] bit by bit."""
+    n = len(rows) + 1
+    listed = [(x, [y for y in range(x + 1, n) if not row >> (n - 1 - y) & 1])
+              for x, row in enumerate(rows)]
+    return [(x, ys) for x, ys in listed if ys]
+
+
+@st.composite
+def pair_row_lists(draw):
+    """n-1 rows of pair_rows' shape, each with no, one, a few, most or all
+    of its bits clear."""
+    n = draw(st.integers(1, 70))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = []
+    for x in range(n - 1):
+        width = n - 1 - x
+        clear = rng.choice([0, 1, min(width, 3), width - width // 8, width])
+        rows.append(((1 << width) - 1) & ~sum(1 << b for b in rng.sample(range(width), clear)))
+    return rows
+
+
+@pytest.mark.parametrize("few", [0, None, 10**9], ids=["find", "default", "compress"])
+@settings(max_examples=200, deadline=None)
+@given(pair_row_lists())
+def test_missing_rows_lists_every_clear_bit(few, rows):
+    with pytest.MonkeyPatch.context() as mp:
+        if few is not None:
+            mp.setattr(sq, "_FEW_CLEAR", few)
+        assert list(sq.missing_rows(rows)) == clear_ys(rows)
+
+
 class TestLowerBound:
     @pytest.mark.parametrize("n,k,expected", [(5, 2, 6), (2, 1, 2), (7, 3, 8)])
     def test_examples(self, n, k, expected):
@@ -892,6 +999,11 @@ class TestSequenceFormat:
     def test_header_token_without_equals(self):
         with pytest.raises(ValueError, match="has a token 'k' without '='"):
             sq.parse_sequence("n=5 k\n0 1 2 3 4\n")
+
+    def test_header_field_given_twice(self):
+        # the later n= would otherwise win and the sequence verify at n = 4
+        with pytest.raises(ValueError, match="^sequence header 'n=3 k=1 n=4' has more than one 'n=' field$"):
+            sq.parse_sequence("n=3 k=1 n=4\n0 1 2\n")
 
     def test_bad_symbol_names_the_token(self):
         with pytest.raises(ValueError, match=r"invalid literal for int\(\) with base 10: 'x'"):
