@@ -27,11 +27,11 @@ _VERIFY_BLOCK = 4096
 # pairs marked cell by cell from which verify marks the later positions in
 # a forked child; the child's start paid for itself from about 120,000 cells
 _SPLIT_CELLS = 200_000
-# pair_rows gathers its cells in a set, not an n*n table, while FILL times
+# pair_rows gathers its cells in a set, not an n*n table, while _FILL times
 # the cells it may mark stays below n*n. On random words at n = 500 to
 # 9,239 the set's fold took 1.0-1.4x the table's time at one cell in 64
 # of n*n, 0.8-1.0x at one in 96 and 0.6-0.8x at one in 128
-FILL = 96
+_FILL = 96
 # copies of 0..n-1 in the residue table that splices are cut from and that
 # progression runs and parsed stretches are compared with: on the tiling
 # covers at p = 1,319 to 7,079, 16 spliced 2-4x slower, and 256 was no
@@ -52,7 +52,10 @@ _CLEAR = bytes.maketrans(b"01", b"\1\0")
 # missing_rows finds each clear bit of a row's digits with str.find while
 # _FEW_CLEAR times their count stays within the row's width, and else
 # lists the row with compress: the two cost the same at a clear bit in
-# 8 to 16 of widths 100 to 9,000, and find was 7-47x faster at one bit
+# 8 to 16 of widths 100 to 9,000, and find was 7-47x faster at one bit.
+# A splice missing a few pairs lists its rows of 1-3 clear bits in 1.7 ms
+# by find, 12-19 ms by compress, at p = 2,011; a random word's rows, most
+# past the cut, take 2.2 ms by compress and 2.9-3.2 ms by find
 _FEW_CLEAR = 12
 # symbols per written piece, and characters per parsed window of a long
 # line: serializing and parsing hold O(these) Python objects, not O(length)
@@ -313,14 +316,6 @@ def _long_runs(symbols: array, n: int, reach: int) -> list[tuple[int, int, int]]
     return runs
 
 
-def _gathers_cells(n: int, length: int, reach: int, positions: int = 0) -> bool:
-    """Whether pair_rows gathers the cells that `positions` positions
-    mark in a set rather than an n*n table: only where length * reach,
-    a bound on the pairs a sequence meets, reaches C(n,2), so that no
-    k-radius input misses it, and FILL times the cells stays below n*n."""
-    return math.comb(n, 2) <= length * reach and FILL * positions * reach < n * n
-
-
 def pair_rows(seq: RadiusSequence) -> list[int]:
     """The pairs of distinct symbols that occur within distance k in `seq`,
     as n-1 ints: row x holds a bit for each y > x, the most significant
@@ -333,7 +328,7 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
     hold every residue a and pair it with a + j*d for each j <= reach, so
     every pair at an offset +-j*d mod n occurs. The other positions are
     marked one cell at a time. When C(n,2) <= L*reach (no sequence below
-    that bound is k-radius) and FILL times the cells they look at stays
+    that bound is k-radius) and _FILL times the cells they look at stays
     below n*n, the cells are gathered in a set and each sets its bit in
     its row, with no work per pair of the alphabet. Otherwise they are
     marked in an n*n table, which is folded into rows.
@@ -351,14 +346,15 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
     length = len(symbols)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
     reach = min(seq.k, length - 1)
-    # where no cells could be gathered, the table comes before the residue
-    # table of the run search, so a table that cannot be allocated is the error
-    marks = None if _gathers_cells(n, length, reach) else _marks_table(symbols, n)
+    # past the counting bound no cells are gathered, and the table comes before
+    # the residue table of the run search, so one that cannot be allocated is the error
+    bounded = math.comb(n, 2) <= length * reach
+    marks = None if bounded else _marks_table(symbols, n)
     runs = _long_runs(symbols, n, reach) if n > 1 and length >= n + reach else []
     # the positions marked cell by cell: all but the first R - reach of each run
     spans = list(zip([0] + [b - reach for _, b, _ in runs], [a for a, _, _ in runs] + [length]))
     positions = sum(b - a for a, b in spans)
-    if marks is None and not _gathers_cells(n, length, reach, positions):
+    if bounded and _FILL * positions * reach >= n * n:
         marks = _marks_table(symbols, n)
     bounds = [(0, length)]
     if positions * reach >= _SPLIT_CELLS and pool_size(2, 2) == 2:

@@ -632,11 +632,12 @@ class TestCellFold:
 
     @staticmethod
     def each_fold(seq, split):
-        """rows_or_error(seq) with the table fold forced, then the set's."""
+        """rows_or_error(seq) with the table fold forced, then the set's.
+        Past the counting bound both take the table, as pair_rows does."""
         results = []
-        for cells in (False, True):
+        for fill in (10**30, 0):
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(sq, "_gathers_cells", lambda *args, cells=cells: cells)
+                mp.setattr(sq, "_FILL", fill)
                 if split:
                     mp.setattr(sq, "_SPLIT_CELLS", 1)
                 results.append(rows_or_error(seq))
