@@ -283,6 +283,7 @@ def _cmd_density(args) -> int:
                 "observed_exact": [report.observed.numerator, report.observed.denominator],
                 "predicted": float(report.predicted),
                 "predicted_exact": [report.predicted.numerator, report.predicted.denominator],
+                "standard_error": report.standard_error,
             }
         )
     elif args.format == "csv":

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import random
 import re
@@ -721,6 +722,24 @@ class TestPrimesAndDensity:
                                "--limit", "20000", "--format", "json")
         obj = json.loads(out)
         assert code == 0 and obj["hits"] == 0 and obj["predicted"] == 0
+
+    def test_density_json_carries_the_standard_error(self, capsys):
+        code, out, _ = run_cli(capsys, "density", "--k", "2",
+                               "--limit", "20000", "--format", "json")
+        obj = json.loads(out)
+        se = (0.25 * 0.75 / obj["primes_scanned"]) ** 0.5
+        assert code == 0 and math.isclose(obj["standard_error"], se)
+
+    @pytest.mark.parametrize("argv", [
+        ("primes", "next", "--start", "2", "--k", "100000000", "--horizon", "1000000000"),
+        ("primes", "scan", "--k", "10000000", "--limit", "100000000", "--workers", "2"),
+        ("density", "--k", "10000000", "--limit", "100000000"),
+    ], ids=["next", "scan", "density"])
+    def test_huge_k_exits_two_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        k = argv[argv.index("--k") + 1]
+        assert (code, out) == (2, "")
+        assert err == f"error: k={k} exceeds the per-k table bound 1000000\n"
 
 
 class TestTilingCheck:

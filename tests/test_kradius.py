@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 from fractions import Fraction
@@ -47,9 +48,64 @@ class TestPredicate:
 
     def test_against_one_pow_per_residue(self):
         for k in range(1, 13):
-            spf = kr._spf_for(k, 20000)
+            tables = kr._tables(k, 20000)
             for p in nt.primes(20000):
-                assert kr._qualifies(p, k, spf) == pow_is_k_radius(p, k), (p, k)
+                assert kr._qualifies(p, k, *tables) == pow_is_k_radius(p, k), (p, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 60), st.integers(3, 10**9), st.booleans())
+    def test_against_oracle_on_random_primes(self, k, start, filtered):
+        # the first prime = 1 mod 2k from start on; with filtered False the
+        # chi(k!) test is off and chi(Q) is computed, as above _FILTER_MAX_K
+        p = start + (1 - start) % (2 * k)
+        while not nt.is_prime(p):
+            p += 2 * k
+        spf, fact, top = kr._tables(k, p)
+        if not filtered:
+            fact = top = 0
+        assert kr._qualifies(p, k, spf, fact, top) == pow_is_k_radius(p, k)
+
+    def test_every_prime_2k_plus_1_is_k_radius(self):
+        # the squares of 1..k are distinct mod p = 2k + 1, so every such
+        # prime qualifies: the chi(k!) test and the forced chi(Q) at k in
+        # the thousands, where no scan finds a hit. One spf table serves
+        # every k, and k! and Q grow with k
+        spf = nt.spf_table(10**4)
+        fact, top = 1, 0
+        for k in range(1, 10**4):
+            fact *= k
+            top = k if spf[k] == k else top
+            if nt.is_prime(2 * k + 1):
+                assert kr._qualifies(2 * k + 1, k, spf, fact, top), k
+        assert kr._tables(9999, 20000)[1:] == (fact, top) and top == 9973
+
+    def test_hits_meet_the_root_product(self):
+        # chi(k!) is the product of all k-th roots of unity, (-1)**(k+1)
+        for k in range(1, 21):
+            for p in kr.scan_k_radius_primes(k, 10**5):
+                want = 1 if k % 2 else p - 1
+                assert pow(math.factorial(k), (p - 1) // k, p) == want, (p, k)
+
+    def test_huge_k_is_refused_before_any_table(self):
+        # a table of 10**7 small-prime factors peaked at 477 MB; past
+        # _TABLE_MAX_K the refusal comes before anything is allocated
+        calls = [
+            lambda: kr.next_k_radius_prime(2, 10**8, horizon=10**9),
+            lambda: kr.is_k_radius_prime(10**9 + 7, 10**8),
+            lambda: kr.scan_k_radius_primes(10**7, 10**8, workers=2),
+            lambda: kr.density_scan(10**7, 10**8),
+        ]
+        tracemalloc.start()
+        try:
+            for call in calls:
+                with pytest.raises(OutOfRange, match=r"^k=10+ exceeds the per-k table bound 1000000$"):
+                    call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5
+        # at the bound itself the tables are built
+        assert len(kr._spf_for(kr._TABLE_MAX_K, 10**7)) == kr._TABLE_MAX_K + 1
 
     def test_huge_k_builds_no_table(self):
         # a k-radius prime is at least 2k + 1, so none lies below the bound
@@ -155,6 +211,14 @@ class TestDensityScan:
             k=k, limit=10**6, primes_scanned=78498, k_radius_count=hits,
             observed=Fraction(hits, 78498), predicted=predicted,
         )
+
+    def test_standard_error_at_k5(self):
+        # predicted_density quotes about 0.00045 for 78,498 primes at k = 5
+        rep = kr.density_scan(5, 10**6)
+        q = 2 / 125
+        assert rep.standard_error == math.sqrt(q * (1 - q) / 78498)
+        assert math.isclose(rep.standard_error, 0.00045, abs_tol=5e-6)
+        assert "standard_error" not in {f.name for f in dataclasses.fields(rep)}
 
     def test_k4_zero_hits(self):
         rep = kr.density_scan(4, 50000)
