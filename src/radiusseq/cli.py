@@ -6,14 +6,17 @@ check. Exit status 0 on success, 1 on verification failure or absence
 results, 2 when the library or the CLI raises OutOfRange. Identical
 requests produce byte-identical reports.
 
-verify reads its input with sequences.parse_sequence. A text with at
-least _READ_GATE characters per alphabet symbol, such as a cover splice,
-is read as progression stretches: each is compared in C with the
-names, each with its space, of a strided slice of the residue table, the
+verify reads its input with sequences.read_rows. A text with at least
+_READ_GATE characters per alphabet symbol, such as a cover splice, is
+read as progression stretches: each is compared in C with the names,
+each with its space, of a strided slice of the residue table, the
 read-side mirror of covers.splice_runs, and appended as that slice.
 Every other token is read as int() reads it, so the symbols and errors
-do not depend on the route. sequences.pair_rows then marks the pairs, and the report
-streams the missing ones row by row.
+do not depend on the route. The parse joins the stretches that continue
+each other into runs; each run of at least n + k terms s, s+d, ... mod n,
+gcd(d, n) = 1, is marked as the k diagonals of offsets +-j*d, and every
+other pair within distance k one cell at a time. The report streams the
+missing pairs row by row.
 
 construct prints only a checked sequence, and "verified": true in its JSON
 names that check. Every length is known before a symbol exists, and one
@@ -25,11 +28,10 @@ deletes the p-n most frequent symbols of the certified splice and
 relabels the rest; deletion never moves two remaining occurrences further
 apart and the relabelling is injective, so the shrunk sequence is k-radius
 too and is not checked again. naive and eulerian go through
-sequences.verify. It marks each run of at least n + k terms s, s+d, ...
-mod n, gcd(d, n) = 1, as the k diagonals of offsets +-j*d, and every other
-pair within distance k one cell at a time: into a set, from which each
-cell sets its bit in its row, when those cells are few next to n*n and
-the length could hold every pair, and otherwise into an n*n table.
+sequences.verify, which marks every pair within distance k one cell at a
+time: into a set, from which each cell sets its bit in its row, when
+those cells are few next to n*n and the length could hold every pair, and
+otherwise into an n*n table.
 
 covers.splice_runs writes each certified triple as names[start:stop:step]
 over the names of the residue table, relabelled by covers.shrink_labels
@@ -112,10 +114,9 @@ def _cmd_verify(args) -> int:
     for name, value in (("n", args.n), ("k", args.k)):
         if value is not None:
             _check_positive(name, value)
-    seq = sequences.parse_sequence(_read_text(args.input), n=args.n, k=args.k)
     # the report streams the missing pairs from the rows, so it never holds
     # them all: there are up to C(n,2) of them
-    rows = sequences.pair_rows(seq)
+    seq, rows = sequences.read_rows(_read_text(args.input), n=args.n, k=args.k)
     count = math.comb(seq.n, 2) - sum(map(int.bit_count, rows))
     if args.format == "json":
         obj = {"ok": count == 0, "missing": None, "n": seq.n, "k": seq.k, "length": len(seq)}

@@ -88,17 +88,20 @@ def _qualifies(p: int, k: int, spf: list[int], fact: int, top: int) -> bool:
     e = (p - 1) // k
     if fact and pow(fact, e, p) != (1 if k % 2 else p - 1):
         return False
-    chi = [1] * (k + 1)
+    # chi[i] for i so far, grown as i advances, so a candidate costs O(its
+    # first repeat), not O(k); chi[top] is a placeholder that no i <= k reads
+    chi = [1, 1]
     seen = {1}
     for i in range(2, k + 1):
         if i == top:
+            chi.append(0)
             continue
         q = spf[i]
         c = pow(i, e, p) if q == i else chi[q] * chi[i // q] % p
         if c in seen:
             return False
         seen.add(c)
-        chi[i] = c
+        chi.append(c)
     return True
 
 

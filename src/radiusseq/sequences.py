@@ -11,6 +11,7 @@ import json
 import math
 import multiprocessing
 import os
+import re
 import threading
 from array import array
 from contextlib import suppress
@@ -33,12 +34,12 @@ _SPLIT_CELLS = 200_000
 # of n*n, 0.8-1.0x at one in 96 and 0.6-0.8x at one in 128
 _FILL = 96
 # copies of 0..n-1 in the residue table that splices are cut from and that
-# progression runs and parsed stretches are compared with: on the tiling
-# covers at p = 1,319 to 7,079, 16 spliced 2-4x slower, and 256 was no
-# faster from p = 3,359 on with a table 4x the size
+# parsed stretches are compared with: on the tiling covers at p = 1,319 to
+# 7,079, 16 spliced 2-4x slower, and 256 was no faster from p = 3,359 on
+# with a table 4x the size
 _TABLE_REPEATS = 64
-# the terms of the first compare at each sample of a sequence, and at each
-# token where the parse tries a progression stretch
+# the terms of the first compare at each token where the parse tries a
+# progression stretch
 _RUN_PROBE = 8
 # characters of text per alphabet symbol from which the parse builds its
 # O(n) tables. They take about 870 bytes and 620 ns per symbol, so from here
@@ -63,6 +64,11 @@ _WRITE_CHUNK = 1 << 16
 _PARSE_WINDOW = 1 << 16
 # the characters of a window that the JSON scanner may read
 _PLAIN = b"0123456789 "
+# the line boundaries of str.splitlines besides "\n", and all of them; each
+# is whitespace to str.strip and to \s
+_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_BREAK = re.compile(f"[\n{_BREAKS}]")
+_SPACE = re.compile(r"\s*")
 
 
 def _outside(symbol: int, n: int) -> AlphabetViolation:
@@ -211,8 +217,8 @@ def _marked_rows(symbols: array, n: int, reach: int, lo: int, hi: int,
     Each block of positions checks the alphabet of the symbols it reads
     before marking them. Blocks run in order and each reads `reach`
     symbols past its end, so the symbol outside the alphabet that this
-    names is the first one from lo on: pair_rows leaves out of `spans`
-    only terms of progression runs, all inside the alphabet."""
+    names is the first one from lo on: _rows leaves out of `spans` only
+    terms of progression runs, all inside the alphabet."""
     # cell x*n + y marks "x occurs at most reach before y". Blocks shrink
     # as the reach grows, so one gathers fewer than 8 * _VERIFY_BLOCK
     # cells until it is down to a single symbol
@@ -261,8 +267,8 @@ def residue_table(n: int, copies: int) -> array:
 
 def _agreement(a, b) -> int:
     """The length of the longest common prefix of two strs or two
-    memoryviews, bisected with C slice compares: the one search of both
-    progression matchers, _run_end and _StretchReader."""
+    memoryviews, bisected with C slice compares: the search of
+    _StretchReader's progression matcher."""
     lo, hi = 0, min(len(a), len(b)) + 1  # a[:lo] == b[:lo]; a[:hi] != b[:hi] or hi is past one
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -273,54 +279,24 @@ def _agreement(a, b) -> int:
     return lo
 
 
-def _run_end(view: memoryview, table: memoryview, n: int, at: int, s: int, d: int) -> int:
-    """The first index from `at` on at which `view` leaves the step-d
-    progression mod n that holds residue s there, or len(view). Slices
-    of the view are compared in C with strided slices of `table`, copies
-    of 0..n-1, and _agreement finds where the first that differs leaves it."""
-    last = len(table) - 1
-    while at < len(view):
-        m = min(len(view) - at, (last - s) // d + 1)
-        terms, progression = view[at:at + m], table[s:s + m * d:d]
-        if terms != progression:
-            return at + _agreement(terms, progression)
-        at, s = at + m, (s + m * d) % n
-    return at
-
-
-def _long_runs(symbols: array, n: int, reach: int) -> list[tuple[int, int, int]]:
-    """The maximal runs symbols[a:b] of at least n + reach terms that
-    step by d mod n, gcd(d, n) = 1, as (a, b, d) in order; two of them
-    share at most one position. Each holds a sample q, a multiple of
-    h = (n + reach) // 2, with q..q+h inside it, and steps by
-    symbols[q+1] - symbols[q]. One compare of _RUN_PROBE terms rules out
-    almost every sample of a word without such runs, and only a sample
-    that passes it is followed both ways by _run_end. Needs n >= 2."""
-    length, h = len(symbols), (n + reach) // 2
-    probe = min(_RUN_PROBE, h + 1)
-    runs = []
-    end = 0  # the end of the last run followed
-    with (memoryview(residue_table(n, _TABLE_REPEATS)) as table,
-          memoryview(symbols) as ahead, ahead[::-1] as back):
-        for q in range(0, length - h, h):
-            s, t = symbols[q], symbols[q + 1]
-            d = (t - s) % n
-            if (q + 1 < end or max(s, t) >= n or math.gcd(d, n) != 1
-                    or ahead[q:q + probe] != table[s:s + probe * d:d]):
-                continue
-            end = _run_end(ahead, table, n, q + probe, (s + probe * d) % n, d)
-            # back holds position i at index length-1-i, stepping by n-d
-            start = length - _run_end(back, table, n, length - q, (s - d) % n, n - d)
-            if end - start >= n + reach:
-                runs.append((start, end, d))
-    return runs
-
-
 def pair_rows(seq: RadiusSequence) -> list[int]:
     """The pairs of distinct symbols that occur within distance k in `seq`,
     as n-1 ints: row x holds a bit for each y > x, the most significant
     for y = x+1, set when x and y occur at most k apart. A symbol outside
     the alphabet raises AlphabetViolation naming the first one.
+
+    Every position is marked one cell at a time, as _rows marks the
+    positions outside runs: the array of a RadiusSequence is mutable, so
+    no progression in it is taken on trust. read_rows marks as diagonals
+    the runs that its parse matched against the text.
+    """
+    return _rows(seq, [])
+
+
+def _rows(seq: RadiusSequence, runs: list[tuple[int, int, int]]) -> list[int]:
+    """pair_rows of `seq`, given `runs`: (a, b, d) in order, each sharing at
+    most one position with the one before, such that symbols[a:b] is the
+    step-d progression mod n from symbols[a].
 
     With reach = min(k, L-1), a run of R >= n + reach terms s, s+d,
     s+2d, ... mod n with gcd(d, n) = 1 is marked as diagonals, with no
@@ -346,11 +322,10 @@ def pair_rows(seq: RadiusSequence) -> list[int]:
     length = len(symbols)
     # offsets past the end pair nothing; capping them keeps a huge k cheap
     reach = min(seq.k, length - 1)
-    # past the counting bound no cells are gathered, and the table comes before
-    # the residue table of the run search, so one that cannot be allocated is the error
+    # past the counting bound no cells are gathered
     bounded = math.comb(n, 2) <= length * reach
     marks = None if bounded else _marks_table(symbols, n)
-    runs = _long_runs(symbols, n, reach) if n > 1 and length >= n + reach else []
+    runs = [(a, b, d) for a, b, d in runs if b - a >= n + reach and math.gcd(d, n) == 1]
     # the positions marked cell by cell: all but the first R - reach of each run
     spans = list(zip([0] + [b - reach for _, b, _ in runs], [a for a, _, _ in runs] + [length]))
     positions = sum(b - a for a, b in spans)
@@ -400,9 +375,9 @@ def missing_rows(rows: list[int]):
 
 
 def verify(seq: RadiusSequence) -> tuple[bool, list[tuple[int, int]]]:
-    """Check the k-radius property through pair_rows: long progression
-    runs as diagonals, every other position by ordered-pair marking into
-    a set of cells or, for dense marking, an n*n table, then the rows.
+    """Check the k-radius property through pair_rows: every position by
+    ordered-pair marking into a set of cells or, for dense marking, an
+    n*n table, then the rows.
 
     Returns (ok, missing) where missing lists every unordered pair of
     distinct alphabet symbols that never co-occurs within distance k, in
@@ -589,26 +564,48 @@ def parse_fields(line: str, what: str, names: tuple[str, ...]) -> list[int]:
     return [int(fields[name]) for name in names]
 
 
+def _content_spans(text: str):
+    """Yield (a, b) for each line of content_lines(text), in order:
+    text[a:b].rstrip() is the line, cut from the text only when asked
+    for. A text with no line boundary of str.splitlines but "\n", and
+    "\r" only before "\n", is cut at each "\n" by str.find; any other is
+    cut at each boundary by _BREAK."""
+    odd = (any(map(text.__contains__, _BREAKS[1:]))
+           or "\r" in text and text.count("\r") != text.count("\r\n"))
+    start = 0
+    while start <= len(text):
+        if odd:
+            found = _BREAK.search(text, start)
+            end = found.start() if found else len(text)
+        else:
+            end = text.find("\n", start)
+            end = len(text) if end == -1 else end
+        first = start
+        if text[start:start + 1].isspace():  # only then is the line's start searched
+            first = _SPACE.match(text, start, end).end()
+        if first < end and text[first] != "#":
+            yield first, end
+        start = end + 1
+
+
 def content_lines(text: str):
     """Yield the lines of `text` stripped, skipping blank lines and
-    ``#`` comments: the comment rule of every text format."""
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            yield line
+    ``#`` comments: the comment rule of every text format. The lines are
+    those of str.splitlines, cut one at a time."""
+    for a, b in _content_spans(text):
+        yield text[a:b].rstrip()
 
 
-def _windows(line: str):
-    """Yield `line` in pieces cut at the first space past every
+def _windows(text: str, start: int, end: int):
+    """Yield text[start:end] in pieces cut at the first space past every
     _PARSE_WINDOW characters, so that no token is split."""
-    start = 0
-    while len(line) - start > _PARSE_WINDOW:
-        cut = line.find(" ", start + _PARSE_WINDOW)
+    while end - start > _PARSE_WINDOW:
+        cut = text.find(" ", start + _PARSE_WINDOW, end)
         if cut == -1:
             break
-        yield line[start:cut]
+        yield text[start:cut]
         start = cut + 1
-    yield line[start:]
+    yield text[start:end]
 
 
 def _tokens(window: str) -> list[int]:
@@ -638,7 +635,9 @@ class _StretchReader:
     past `gap` characters, or to the window's end: the width of _RUN_PROBE
     names, doubled per failure in a row up to _PARSE_WINDOW. The tables
     are O(n): the names laid out as the residue table, a dict from each
-    name to its residue, and the residue table itself."""
+    name to its residue, and the residue table itself. Each stretch is
+    handed on with its first residue s and step d, so the parse knows the
+    progression of every stretch it appends."""
 
     def __init__(self, n: int):
         self.n = n
@@ -652,17 +651,19 @@ class _StretchReader:
 
     def _match(self, text: str, pos: int, s: int, d: int, m: int) -> tuple[int, int]:
         """(j, after): text[pos:after] is the names, each with its space,
-        of the first j of the m terms from s of the step-d progression."""
-        names = "".join(self.names[s:s + m * d:d])
+        of the first j of the m terms from s of the step-d progression, or
+        of as many of them as the table holds from s."""
+        terms = self.names[s:s + m * d:d]
+        names = "".join(terms)
         if text.startswith(names, pos):
-            return m, pos + len(names)
+            return len(terms), pos + len(names)
         agree = _agreement(text[pos:pos + len(names)], names)
         return names.count(" ", 0, agree), pos + names.rfind(" ", 0, agree) + 1
 
     def __call__(self, window: str):
-        """Yield the symbols of `window` in order: each stretch as an
-        array("I") slice of the residue table, everything else as the list
-        that _tokens reads."""
+        """Yield the symbols of `window` in order: each stretch as (s, d,
+        its terms), the terms an array("I") joined from slices of the
+        residue table, everything else as the list that _tokens reads."""
         n, table, index = self.n, self.table, self.index
         text = window + " "
         last, end, pos = len(table) - 1, len(window), 0
@@ -685,54 +686,107 @@ class _StretchReader:
             # the stretch goes on in pieces inside the table, each of at most
             # as many terms as the rest of the text could hold, until one
             # agrees only in part
-            m = j
+            terms, r, m = array("I"), s, j
             while j:
-                yield table[s:s + j * d:d]
-                pos, s = after, (s + j * d) % n
+                terms += table[r:r + j * d:d]
+                pos, r = after, (r + j * d) % n
                 if j < m or pos >= end:
                     break
-                m = min((last - s) // d + 1, (end + 1 - pos) // 2)
-                j, after = self._match(text, pos, s, d, m)
+                m = min((last - r) // d + 1, (end + 1 - pos) // 2)
+                j, after = self._match(text, pos, r, d, m)
+            yield s, d, terms
 
 
 def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> RadiusSequence:
     """Parse the text format; explicit n/k arguments override the header.
 
-    Long lines are read in windows of about _PARSE_WINDOW characters. When
-    n is known (the header or the argument) and the text holds at least
-    _READ_GATE characters per symbol, _StretchReader reads the windows as
-    progression stretches, the shape of a cover splice, and each stretch
-    is appended as a slice of the residue table, with no int per symbol;
-    below the gate no O(n) table is built. All else goes through _tokens.
-    Either way the symbols and errors are those of int() over the tokens:
-    a token that is not an integer raises int()'s ValueError naming it. A
-    symbol that does not fit in 32 bits raises AlphabetViolation naming
-    the first symbol outside the alphabet; other symbols outside it are
-    left to verify.
+    The lines are cut from the text one at a time, and long lines are read
+    in windows of about _PARSE_WINDOW characters cut from the text itself,
+    so no copy of a line is held. When n is known (the header or the
+    argument) and the text holds at least _READ_GATE characters per
+    symbol, _StretchReader reads the windows as progression stretches, the
+    shape of a cover splice, and each stretch is appended as a slice of
+    the residue table, with no int per symbol; below the gate no O(n) table
+    is built. All else goes through _tokens. Either way the symbols and
+    errors are those of int() over the tokens: a token that is not an
+    integer raises int()'s ValueError naming it. A symbol that does not fit
+    in 32 bits raises AlphabetViolation naming the first symbol outside the
+    alphabet; other symbols outside it are left to verify. read_rows reads
+    the same way and keeps the progression of each stretch for its runs.
     """
+    return _parse(text, n, k)[0]
+
+
+def read_rows(text: str, n: int | None = None, k: int | None = None) -> tuple[RadiusSequence, list[int]]:
+    """(parse_sequence(text, n, k), its pair_rows), with the runs of the
+    parse marked as diagonals: the `verify` command's one read path.
+
+    Each piece that _StretchReader matched against the text is a slice of
+    the residue table whose progression (s, d) is known. The parse joins
+    a piece to the run before it when the piece, and the symbols between
+    them, continue that run's progression. Otherwise the piece starts a
+    run, at the first of the symbols before it that continue it backwards,
+    back to the last term of the run before at most. So a line break or a
+    window's cut inside a stretch, the few tokens at a line's end that no
+    probe could read, or a splice segment sharing its first term with the
+    one before, leave a run whole, and a piece after a deletion starts a
+    run of its own. Runs are never searched for in the symbols, and never
+    taken from anywhere but the text this call parsed.
+    """
+    seq, runs = _parse(text, n, k)
+    return seq, _rows(seq, runs)
+
+
+def _parse(text: str, n: int | None, k: int | None) -> tuple[RadiusSequence, list[tuple[int, int, int]]]:
+    """parse_sequence, and the runs (a, b, d) of more than n terms that its
+    stretches join to, in order, as read_rows says (a run of at most n
+    terms is never marked as diagonals)."""
     header_n = header_k = None
     symbols = array("I")
     misfit = None
     read = None  # at the first symbol line: the stretch reader, or False below the gate
-    for i, line in enumerate(content_lines(text)):
-        if i == 0 and line.startswith("n="):
-            header_n, header_k = parse_fields(line, "sequence header", ("n", "k"))
+    runs = []
+    start = end = step = 0  # the last run: symbols[start:end] steps by `step` mod n
+    for i, (a, b) in enumerate(_content_spans(text)):
+        if i == 0 and text.startswith("n=", a):
+            header_n, header_k = parse_fields(text[a:b].rstrip(), "sequence header", ("n", "k"))
             continue
         if read is None:
             size = n if n is not None else header_n
             read = (_StretchReader(size) if size is not None and 2 <= size
                     and _READ_GATE * size <= len(text) else False)
-        for window in _windows(line):
+        for window in _windows(text, a, b):
             for values in read(window) if read else (_tokens(window),):
                 if misfit is not None:
                     continue
-                if isinstance(values, array):
-                    symbols += values
-                    continue
-                try:
-                    symbols.fromlist(values)
-                except OverflowError:
-                    misfit = values
+                at = first = len(symbols)
+                if isinstance(values, list):
+                    try:
+                        symbols.fromlist(values)
+                    except OverflowError:
+                        misfit = values
+                        continue
+                else:
+                    s, d, terms = values
+                    symbols += terms
+                    # the symbols before it that continue it backwards, back to
+                    # the last term of the run before at most
+                    while first > max(end - 1, 0) and symbols[first - 1] == (s - (at + 1 - first) * d) % size:
+                        first -= 1
+                    if first < end and d == step:  # it continues the run before
+                        end = len(symbols)
+                        continue
+                # the symbols right after the run before that continue it join
+                # it: loose ones, or the first term of a stretch of another step
+                if end == at and step:
+                    while end < len(symbols) and symbols[end] == (symbols[end - 1] + step) % size:
+                        end += 1
+                if isinstance(values, tuple):
+                    if end - start > size:
+                        runs.append((start, end, step))
+                    start, end, step = first, len(symbols), d
+    if read and end - start > size:
+        runs.append((start, end, step))
     n = n if n is not None else header_n
     k = k if k is not None else header_k
     if n is None or k is None:
@@ -741,4 +795,4 @@ def parse_sequence(text: str, n: int | None = None, k: int | None = None) -> Rad
         # these values hold a symbol past 32 bits, so the first symbol outside
         # the alphabet lies in them or before them; RadiusSequence names that one
         symbols = chain(symbols, misfit)
-    return RadiusSequence(n, k, symbols)
+    return RadiusSequence(n, k, symbols), runs

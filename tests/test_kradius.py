@@ -113,6 +113,25 @@ class TestPredicate:
         assert not kr.is_k_radius_prime(7, 10**12)
         assert kr.next_k_radius_prime(2, 10**12) is None
 
+    def test_candidate_past_the_filter_costs_its_first_repeat(self):
+        # above _FILTER_MAX_K no chi(k!) test screens a candidate, and a
+        # list of k + 1 values per candidate took about 800 KB at k = 10**5;
+        # the values grow only as far as the first repeat
+        k = 10**5
+        assert k > kr._FILTER_MAX_K
+        # the first candidate with a repeat among chi(1..64): 33,000,001
+        p = next(p for p in range(2 * k + 1, 10**9, 2 * k)
+                 if nt.is_prime(p) and len({pow(i, (p - 1) // k, p) for i in range(1, 65)}) < 64)
+        tables = kr._tables(k, p)
+        assert tables[1:] == (0, 0)
+        tracemalloc.start()
+        try:
+            assert not kr._qualifies(p, k, *tables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**4
+
     def test_every_odd_prime_is_1_radius(self):
         for p in nt.primes(200):
             assert kr.is_k_radius_prime(p, 1) == (p != 2)

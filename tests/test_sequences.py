@@ -195,22 +195,32 @@ def children(monkeypatch):
     return started
 
 
+@pytest.fixture
+def marked_spans(monkeypatch):
+    """The `spans` of each _marked_rows call made in this process during a
+    test: the positions that pair_rows and read_rows mark cell by cell."""
+    made = []
+    marked_rows = sq._marked_rows
+    monkeypatch.setattr(sq, "_marked_rows", lambda *args: made.append(args[5]) or marked_rows(*args))
+    return made
+
+
 @needs_two_cpus
-def test_forced_split_halves_the_positions_marked_cell_by_cell(monkeypatch, children):
-    # a damaged splice after a random word: its runs are marked as
-    # diagonals, and the word, the damage and the last k positions of each
-    # run cell by cell; the child marks the later half of those positions
+def test_forced_split_halves_the_positions_marked_cell_by_cell(monkeypatch, children, marked_spans):
+    # a damaged splice after a random word, read from its text: its runs are
+    # marked as diagonals, and the word, the damage and the last k positions
+    # of each run cell by cell; the child marks the later half of those positions
     monkeypatch.setattr(sq, "_SPLIT_CELLS", 1)
+    monkeypatch.setattr(sq, "_READ_GATE", 0)
     rng = random.Random(3)
     symbols = cv.sequence_from_cover(cv.two_radius_cover(31)).symbols.tolist()
     for at in rng.sample(range(len(symbols)), 4):
         symbols[at] = (symbols[at] + rng.randrange(1, 31)) % 31
     seq = sq.RadiusSequence(31, 2, [rng.randrange(31) for _ in range(50)] + symbols)
-    runs = sq._long_runs(seq.symbols, seq.n, seq.k)
-    marked = [i for i in range(len(seq)) if not any(a <= i < b - seq.k for a, b, _ in runs)]
-    assert runs and len(marked) < len(seq)
-    missing = brute_force_missing(seq)
-    assert sq.verify(seq) == (not missing, missing)
+    parsed, rows = sq.read_rows(format_text(seq))
+    marked = [i for a, b in marked_spans[0] for i in range(a, b)]
+    assert parsed == seq and len(marked) < len(seq)
+    assert [(x, y) for x, ys in sq.missing_rows(rows) for y in ys] == brute_force_missing(seq)
     assert [c.exitcode for c in children] == [0]
     [(cut, end)] = children[0].share
     assert end == len(seq) and [i for i in marked if i >= cut] == marked[len(marked) // 2:]
@@ -582,40 +592,71 @@ class TestProgressionRuns:
                 mp.setattr(sq, "_SPLIT_CELLS", 1)
             check_against_pairs(seq)
 
+    @pytest.fixture
+    def read(self, monkeypatch, marked_spans):
+        """read_rows of the text of (n, k, symbols) at any length, and the
+        spans it marked cell by cell; a symbol outside the alphabet gives
+        the text of the error instead of the rows."""
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+
+        def read(n, k, symbols, lines=()):
+            text = f"n={n} k={k}\n" + "\n".join(" ".join(map(str, line)) for line in lines)
+            text += "\n" + " ".join(map(str, symbols)) + "\n"
+            try:
+                rows = sq.read_rows(text)[1]
+            except AlphabetViolation as exc:
+                rows = str(exc)
+            return rows, marked_spans[-1]
+        return read
+
     @pytest.mark.parametrize("n, d", [(7, 3), (12, 5), (12, 1), (2, 1)])
     @pytest.mark.parametrize("extra", [-1, 0, 1, 9])
-    def test_a_run_is_long_from_n_plus_reach_terms(self, n, d, extra):
-        # the run repeats its first and last terms around it, a step of 0
+    def test_a_run_is_long_from_n_plus_reach_terms(self, read, n, d, extra):
+        # the run repeats its first term before it (on a line of its own,
+        # so that the reader's probe starts at the run) and its last term
+        # after it, a step of 0. A run shorter than the probe is not read
+        # as a stretch: at n = 2 that is 5 and 6 terms
         k = 3
         run = [(4 + t * d) % n for t in range(n + k + extra)]
-        symbols = array("I", run[:1] * 2 + run + run[-1:] * 2)
-        expected = [(2, 2 + len(run), d)] if extra >= 0 else []
-        assert sq._long_runs(symbols, n, k) == expected
+        rows, spans = read(n, k, run + run[-1:] * 2, lines=[run[:1] * 2])
+        length = len(run) + 4
+        long = extra >= 0 and len(run) >= sq._RUN_PROBE
+        assert spans == ([(0, 2), (2 + len(run) - k, length)] if long else [(0, length)])
+        assert rows == sq.pair_rows(sq.RadiusSequence(n, k, run[:1] * 2 + run + run[-1:] * 2))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
-    def test_a_step_sharing_a_factor_with_n_is_not_a_run(self, d):
+    def test_a_step_sharing_a_factor_with_n_is_not_a_run(self, read, d):
         n, k = 12, 2
-        symbols = array("I", [(1 + t * d) % n for t in range(4 * n)])
-        assert sq._long_runs(symbols, n, k) == []
+        symbols = [(1 + t * d) % n for t in range(4 * n)]
+        rows, spans = read(n, k, symbols)
+        assert spans == [(0, 4 * n)]
+        assert rows == sq.pair_rows(sq.RadiusSequence(n, k, symbols))
         check_against_pairs(sq.RadiusSequence(n, k, symbols))
 
     @pytest.mark.parametrize("at", [0, 4, 9, 10])
-    def test_a_symbol_outside_the_alphabet_ends_a_run(self, at):
+    def test_a_symbol_outside_the_alphabet_ends_a_run(self, read, at):
         # it replaces a term of a run of n + k = 10 terms, or follows it
         n, k = 7, 3
         word = [t * 2 % n for t in range(n + k)]
         word[at:at + 1] = [n + 1]
-        expected = [(0, n + k, 2)] if at == n + k else []
-        assert sq._long_runs(array("I", word), n, k) == expected
+        rows, spans = read(n, k, word)
+        assert spans == ([(0, 0), (n, len(word))] if at == n + k else [(0, len(word))])
+        assert rows == f"symbol {n + 1} outside alphabet of size {n}"
         check_against_pairs(sq.RadiusSequence(n, k, word))
 
-    def test_splice_starts_no_process(self, no_process):
-        # every position but the last k of each segment is marked as a
-        # diagonal, so far fewer than _SPLIT_CELLS pairs are marked cell by cell
+    def test_splice_starts_no_process(self, monkeypatch, read, marked_spans, no_process):
+        # read from its text, every position but the last k of each segment
+        # is marked as a diagonal, so far fewer than _SPLIT_CELLS pairs are
+        # marked cell by cell
         seq = cv.sequence_from_cover(cv.two_radius_cover(653))
         assert len(seq) * seq.k >= sq._SPLIT_CELLS
-        assert sq.verify(seq) == (True, [])
-
+        rows, spans = read(seq.n, seq.k, seq.symbols)
+        assert sum(map(int.bit_count, rows)) == math.comb(seq.n, 2)
+        assert sum(b - a for a, b in spans) * seq.k < sq._SPLIT_CELLS
+        # in process the same sequence is marked cell by cell (here in one
+        # process: past _SPLIT_CELLS it would fork)
+        monkeypatch.setattr(sq, "_SPLIT_CELLS", 10**9)
+        assert sq.pair_rows(seq) == rows and marked_spans[-1] == [(0, len(seq))]
 
 
 def rows_or_error(seq):
@@ -662,18 +703,22 @@ class TestCellFold:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """The calls of _marks_table and _long_runs made in the test, in order."""
+        """The n*n tables that _marks_table makes in the test, by n."""
         made = []
-        for name in ("_marks_table", "_long_runs"):
-            real = getattr(sq, name)
-            monkeypatch.setattr(sq, name, lambda *args, name=name, real=real:
-                                made.append(name) or real(*args))
+        real = sq._marks_table
+        monkeypatch.setattr(sq, "_marks_table", lambda symbols, n: made.append(n) or real(symbols, n))
         return made
 
-    def test_small_prime_splice_gathers_cells(self, calls):
-        rows = sq.pair_rows(cv.sequence_from_cover(cv.prime_cover(139, 3)))
-        assert calls == ["_long_runs"]
+    def test_small_prime_splice_gathers_cells(self, monkeypatch, calls):
+        # read from its text, the splice's runs are diagonals, and the few
+        # cells around their ends go into a set; in process every cell is
+        # marked, past _FILL's cut, into the table
+        seq = cv.sequence_from_cover(cv.prime_cover(139, 3))
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+        _, rows = sq.read_rows(format_text(seq))
+        assert calls == []
         assert sum(map(int.bit_count, rows)) == math.comb(139, 2)
+        assert sq.pair_rows(seq) == rows and calls == [139]
 
     def test_random_word_marks_the_table(self, calls):
         rng = random.Random(9)
@@ -681,16 +726,111 @@ class TestCellFold:
         assert math.comb(50, 2) <= len(seq) * seq.k  # the counting bound holds
         missing = brute_force_missing(seq)
         assert sq.verify(seq) == (not missing, missing)
-        assert calls == ["_long_runs", "_marks_table"]
+        assert calls == [50]
 
-    def test_header_past_the_counting_bound_marks_the_table_first(self, calls):
+    def test_header_past_the_counting_bound_marks_the_table_first(self, monkeypatch, calls):
         # one run of n + 1 terms meets n pairs at k = 1, far below C(n,2):
-        # the table comes before the run search, as for an impossible n
+        # past the bound the table is made before any cell is marked, as for
+        # an impossible n, and the run read from the text is a diagonal
         n = 3000
-        rows = sq.pair_rows(sq.RadiusSequence(n, 1, [t % n for t in range(n + 1)]))
-        assert calls == ["_marks_table", "_long_runs"]
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+        seq, rows = sq.read_rows(f"n={n} k=1\n" + " ".join(str(t % n) for t in range(n + 1)))
+        assert calls == [n]
         assert sum(map(int.bit_count, rows)) == n
         assert rows[0] == 1 << (n - 2) | 1 and rows[1] == 1 << (n - 3)
+        assert sq.pair_rows(seq) == rows and calls == [n, n]
+
+
+def in_lines(symbols, widths):
+    """The tokens of `symbols` on lines of the given widths in turn, the
+    last width repeated."""
+    tokens, lines, at = list(map(str, symbols)), [], 0
+    for i in range(len(tokens)):
+        width = widths[min(i, len(widths) - 1)]
+        lines.append(" ".join(tokens[at:at + width]))
+        at += width
+        if at >= len(tokens):
+            break
+    return "\n".join(lines)
+
+
+@st.composite
+def read_texts(draw):
+    """(text, its sequence): a splice with TestCheckSplice's damage, a
+    random word, or two step-d stretches around a deletion, each shorter
+    than n + k terms and together long enough, on lines of random widths
+    so that line breaks fall inside stretches."""
+    kind = draw(st.sampled_from(["splice", "word", "deletion"]))
+    if kind == "splice":
+        _, seq, _, _ = draw(damaged_splices())
+    elif kind == "word":
+        seq = draw(radius_sequences() | progression_words())
+    else:
+        n, k = draw(st.integers(2 * sq._RUN_PROBE, 40)), draw(st.integers(1, 4))
+        d = draw(st.sampled_from([d for d in range(1, n) if math.gcd(d, n) == 1]))
+        before = draw(st.integers(sq._RUN_PROBE, n + k - sq._RUN_PROBE))
+        after = draw(st.integers(n + k - before, n + k - 1))
+        # 1 to n-1 terms deleted, so the stretch after them does not
+        # continue the one before
+        gap = draw(st.integers(1, n - 1))
+        terms = range(before + gap, before + gap + after)
+        s = draw(st.integers(0, n - 1))
+        seq = sq.RadiusSequence(n, k, [(s + t * d) % n for t in [*range(before), *terms]])
+    widths = draw(st.lists(st.integers(1, 3 * seq.n), min_size=1, max_size=4))
+    return f"n={seq.n} k={seq.k}\n" + in_lines(seq.symbols, widths) + "\n", seq
+
+
+class TestReadRows:
+    """read_rows marks the runs of its parse as diagonals, and gives the
+    rows, or the error, of pair_rows over the symbols it parsed."""
+
+    @pytest.mark.parametrize("copies", [1, 2, 64])
+    @settings(max_examples=150, deadline=None)
+    @given(read_texts(), st.sampled_from([3, 9, 40, None]), st.booleans())
+    def test_equals_pair_rows_over_the_symbols(self, copies, case, window, split):
+        text, seq = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sq, "_READ_GATE", 0)
+            mp.setattr(sq, "_TABLE_REPEATS", copies)
+            if window is not None:
+                mp.setattr(sq, "_PARSE_WINDOW", window)
+            if split:
+                mp.setattr(sq, "_SPLIT_CELLS", 1)
+            try:
+                parsed, rows = sq.read_rows(text)
+            except AlphabetViolation as exc:
+                parsed, rows = sq.parse_sequence(text), str(exc)
+        assert parsed == seq
+        assert rows == rows_or_error(seq)
+
+    def test_a_deletion_between_stretches_of_one_step_is_no_run(self, monkeypatch, marked_spans):
+        # 0..12, then 16..22 0..5 at n = 23: two stretches of 13 terms with
+        # d = 1, 26 together. Joined they would pass for a run of n + k = 25
+        # terms, whose diagonals would mark 13 14, missing here
+        monkeypatch.setattr(sq, "_READ_GATE", 0)
+        n, k = 23, 2
+        symbols = list(range(13)) + [t % n for t in range(16, 29)]
+        for text in (" ".join(map(str, symbols)), in_lines(symbols, [13]), in_lines(symbols, [11, 4])):
+            seq, rows = sq.read_rows(f"n={n} k={k}\n{text}\n")
+            assert seq.symbols.tolist() == symbols and marked_spans[-1] == [(0, len(symbols))]
+            missing = [(x, y) for x, ys in sq.missing_rows(rows) for y in ys]
+            assert (13, 14) in missing and missing == brute_force_missing(seq)
+
+    @pytest.mark.parametrize("width", [2014, 2011, 2020, 9, 16, 1 << 20])
+    def test_splice_lines_leave_every_segment_a_run(self, marked_spans, width):
+        # the (2011, 3) prime splice at the real gate: 335 segments of
+        # n + k = 2,014 terms, each sharing its first term with the one
+        # before; whatever the line width, a line break inside a segment,
+        # and the tokens at a line's end that no probe could read, leave the
+        # segment one run, so only the last k positions of each segment are
+        # marked cell by cell, the shared term ending the k-1 before it
+        seq = cv.sequence_from_cover(cv.prime_cover(2011, 3))
+        text = "n=2011 k=3\n" + in_lines(seq.symbols, [width]) + "\n"
+        parsed, rows = sq.read_rows(text)
+        segments = (len(seq) - 1) // 2013
+        assert parsed == seq and sum(map(int.bit_count, rows)) == math.comb(2011, 2)
+        assert marked_spans[-1] == ([(0, 0)] + [(2013 * i - 2, 2013 * i) for i in range(1, segments)]
+                                    + [(len(seq) - 3, len(seq))])
 
 
 def clear_ys(rows):
@@ -1077,6 +1217,15 @@ class TestParseFastPath:
         monkeypatch.setattr(sq.json, "loads", lambda text: calls.append(text) or loads(text))
         assert sq._tokens(window) == int_tokens(window)
         assert calls == (["[" + window.replace(" ", ",") + "]"] if scanned else [])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet="0 1#\t\n\r\v\f\x1c\x1d\x1e\x1f\x85\xa0\u2028\u2029"))
+def test_content_lines_are_the_stripped_splitlines(text):
+    # cut from the text one at a time, they are the lines of str.splitlines,
+    # stripped, without blank lines and comments
+    lines = [line.strip() for line in text.splitlines()]
+    assert list(sq.content_lines(text)) == [line for line in lines if line and line[0] != "#"]
 
 
 def split_oracle(text, n=None, k=None):
